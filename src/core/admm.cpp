@@ -2,27 +2,53 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "te/objective.h"
 #include "util/thread_pool.h"
 
 namespace teal::core {
 
+namespace {
+// Sizes a buffer whose every entry the caller writes before reading. Under
+// TEAL_DEBUG_MAT it is poison-filled like nn::BasicMat::resize, so an entry
+// read before it is written turns the result NaN and fails the suite.
+void resize_unspecified(util::AVec<double>& v, std::size_t n) {
+  v.resize(n);
+#ifdef TEAL_DEBUG_MAT
+  std::fill(v.begin(), v.end(), std::numeric_limits<double>::signaling_NaN());
+#endif
+}
+}  // namespace
+
 int default_admm_iterations(int n_nodes) { return n_nodes < 100 ? 2 : 5; }
 
 Admm::Admm(const te::Problem& pb, AdmmConfig cfg) : pb_(pb), cfg_(std::move(cfg)) {
-  z_offset_.resize(static_cast<std::size_t>(pb.total_paths()) + 1, 0);
-  for (int p = 0; p < pb.total_paths(); ++p) {
+  const int np = pb.total_paths();
+  const int ne = pb.graph().num_edges();
+  z_offset_.resize(static_cast<std::size_t>(np) + 1, 0);
+  edge_begin_.assign(static_cast<std::size_t>(ne) + 1, 0);
+  for (int p = 0; p < np; ++p) {
     z_offset_[static_cast<std::size_t>(p) + 1] =
         z_offset_[static_cast<std::size_t>(p)] +
         static_cast<int>(pb.path_edges(p).size());
+    for (topo::EdgeId e : pb.path_edges(p)) ++edge_begin_[static_cast<std::size_t>(e) + 1];
   }
-  edge_incidence_.assign(static_cast<std::size_t>(pb.graph().num_edges()), {});
-  for (int p = 0; p < pb.total_paths(); ++p) {
+  for (int e = 0; e < ne; ++e) {
+    edge_begin_[static_cast<std::size_t>(e) + 1] += edge_begin_[static_cast<std::size_t>(e)];
+  }
+  // Filling edges in ascending path order keeps every edge's slots in the
+  // order its sums have always been taken in.
+  const auto nz = static_cast<std::size_t>(z_offset_.back());
+  inc_path_.resize(nz);
+  slot_.resize(nz);
+  std::vector<int> next(edge_begin_.begin(), edge_begin_.end() - 1);
+  for (int p = 0; p < np; ++p) {
     int zi = z_offset_[static_cast<std::size_t>(p)];
     for (topo::EdgeId e : pb.path_edges(p)) {
-      edge_incidence_[static_cast<std::size_t>(e)].push_back(Incidence{zi, p});
-      ++zi;
+      const int s = next[static_cast<std::size_t>(e)]++;
+      inc_path_[static_cast<std::size_t>(s)] = p;
+      slot_[static_cast<std::size_t>(zi++)] = s;
     }
   }
 }
@@ -69,7 +95,35 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
     cap[static_cast<std::size_t>(e)] = capacities[static_cast<std::size_t>(e)] / scale;
   }
 
-  auto violation = [&](const util::AVec<double>& x) {
+  // Primal/dual state.
+  auto& x = ws.x;
+  x.assign(a.split.begin(), a.split.end());
+  for (double& xv : x) xv = std::clamp(xv, 0.0, 1.0);
+
+  // Per-path state carried between the stages: the flow x * vol, and the
+  // path's l4 and z summed over its edges in path order. z and l4 are held
+  // fixed through an F-update, so the sums are gathered once per iteration
+  // rather than once per coordinate sweep.
+  auto& flow = ws.flow;
+  auto& sum_l4 = ws.sum_l4;
+  auto& sum_z = ws.sum_z;
+  resize_unspecified(flow, static_cast<std::size_t>(np));
+  resize_unspecified(sum_l4, static_cast<std::size_t>(np));
+  resize_unspecified(sum_z, static_cast<std::size_t>(np));
+  for (int p = 0; p < np; ++p) {
+    const auto ps = static_cast<std::size_t>(p);
+    flow[ps] = x[ps] * vol[static_cast<std::size_t>(pb_.demand_of_path(p))];
+    // z starts at the path's flow on each of its edges and l4 at zero.
+    double sz = 0.0;
+    for (int zi = z_offset_[ps]; zi < z_offset_[ps + 1]; ++zi) sz += flow[ps];
+    sum_l4[ps] = 0.0;
+    sum_z[ps] = sz;
+  }
+
+  // Total constraint violation of the current x (whose flow is current):
+  // demand overshoot plus per-edge load over capacity. Each edge's load sums
+  // its slots, which are in path order.
+  auto violation = [&] {
     double v = 0.0;
     for (int d = 0; d < nd; ++d) {
       double sum = 0.0;
@@ -78,37 +132,27 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
       }
       v += std::max(0.0, sum - 1.0);
     }
-    auto& load = ws.load;
-    load.assign(static_cast<std::size_t>(ne), 0.0);
-    for (int p = 0; p < np; ++p) {
-      double f = x[static_cast<std::size_t>(p)] *
-                 vol[static_cast<std::size_t>(pb_.demand_of_path(p))];
-      for (topo::EdgeId e : pb_.path_edges(p)) load[static_cast<std::size_t>(e)] += f;
-    }
     for (int e = 0; e < ne; ++e) {
-      v += std::max(0.0, load[static_cast<std::size_t>(e)] - cap[static_cast<std::size_t>(e)]);
+      double load = 0.0;
+      for (int s = edge_begin_[static_cast<std::size_t>(e)];
+           s < edge_begin_[static_cast<std::size_t>(e) + 1]; ++s) {
+        load += flow[static_cast<std::size_t>(inc_path_[static_cast<std::size_t>(s)])];
+      }
+      v += std::max(0.0, load - cap[static_cast<std::size_t>(e)]);
     }
     return v;
   };
 
-  // Primal/dual state.
-  auto& x = ws.x;
-  x.assign(a.split.begin(), a.split.end());
-  for (double& xv : x) xv = std::clamp(xv, 0.0, 1.0);
   Residuals res;
-  res.before = violation(x);
+  res.before = violation();
 
+  // z and l4 are stored edge-major, so the per-edge pass streams them.
   auto& z = ws.z;
-  z.resize(static_cast<std::size_t>(nz));
+  resize_unspecified(z, static_cast<std::size_t>(nz));
   auto& l4 = ws.l4;
   l4.assign(static_cast<std::size_t>(nz), 0.0);
-  for (int p = 0; p < np; ++p) {
-    double f = x[static_cast<std::size_t>(p)] *
-               vol[static_cast<std::size_t>(pb_.demand_of_path(p))];
-    for (int zi = z_offset_[static_cast<std::size_t>(p)];
-         zi < z_offset_[static_cast<std::size_t>(p) + 1]; ++zi) {
-      z[static_cast<std::size_t>(zi)] = f;
-    }
+  for (std::size_t s = 0; s < z.size(); ++s) {
+    z[s] = flow[static_cast<std::size_t>(inc_path_[s])];
   }
   auto& s1 = ws.s1;
   s1.resize(static_cast<std::size_t>(nd));
@@ -128,8 +172,9 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
   z_sum.resize(static_cast<std::size_t>(ne));
   for (int e = 0; e < ne; ++e) {
     double sum = 0.0;
-    for (const auto& inc : edge_incidence_[static_cast<std::size_t>(e)]) {
-      sum += z[static_cast<std::size_t>(inc.z_index)];
+    for (int s = edge_begin_[static_cast<std::size_t>(e)];
+         s < edge_begin_[static_cast<std::size_t>(e) + 1]; ++s) {
+      sum += flow[static_cast<std::size_t>(inc_path_[static_cast<std::size_t>(s)])];
     }
     z_sum[static_cast<std::size_t>(e)] = sum;
   }
@@ -147,87 +192,96 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
   for (int it = 0; it < cfg_.iterations; ++it) {
     // ---- F-update: per-demand nonnegative QP via coordinate descent,
     // fanned over the demand shards. Each shard touches only its own
-    // demands' x/x_sum entries and reads z/l4/s1/l1 held fixed this block.
+    // demands' x/x_sum/flow entries and reads the per-path sums and s1/l1
+    // held fixed this block.
     run_sharded(shards, stats, [&](int /*shard*/, int d0, int d1) {
       for (int d = d0; d < d1; ++d) {
         const auto di = static_cast<std::size_t>(d);
         const double dv = vol[di];
         for (int sweep = 0; sweep < cfg_.coord_sweeps; ++sweep) {
           for (int p = pb_.path_begin(d); p < pb_.path_end(d); ++p) {
-            auto ps = static_cast<std::size_t>(p);
-            const double m = static_cast<double>(pb_.path_edges(p).size());
-            double sum_l4 = 0.0, sum_z = 0.0;
-            for (int zi = z_offset_[ps]; zi < z_offset_[ps + 1]; ++zi) {
-              sum_l4 += l4[static_cast<std::size_t>(zi)];
-              sum_z += z[static_cast<std::size_t>(zi)];
-            }
+            const auto ps = static_cast<std::size_t>(p);
+            const double m = static_cast<double>(z_offset_[ps + 1] - z_offset_[ps]);
             const double w = weighted ? cfg_.path_weight[ps] : 1.0;
             const double rest = x_sum[di] - x[ps] + s1[di] - 1.0;
-            double num = w * dv - l1[di] - dv * sum_l4 - rho * rest + rho * dv * sum_z;
+            double num =
+                w * dv - l1[di] - dv * sum_l4[ps] - rho * rest + rho * dv * sum_z[ps];
             double x_new = std::clamp(num / (rho * (1.0 + dv * dv * m)), 0.0, 1.0);
             x_sum[di] += x_new - x[ps];
             x[ps] = x_new;
           }
         }
+        for (int p = pb_.path_begin(d); p < pb_.path_end(d); ++p) {
+          flow[static_cast<std::size_t>(p)] = x[static_cast<std::size_t>(p)] * dv;
+        }
       }
     });
 
     // ---- Coupled link-level block, fused per edge: s3-update, exact
-    // z-update, l3 dual ascent. The z-update reads x of *other* demands
-    // through the edge incidence list — the coupling that makes this an
-    // edge pass, not a demand shard. Per-edge rows are independent and
-    // deterministic (incidence order is fixed), so any chunking is
-    // bit-identical. The per-edge quadratic has Hessian rho*(I + 1 1ᵀ); by
-    // Sherman-Morrison, with a_p = f_p + l4_p/rho - l3/rho + cap - s3, the
-    // minimizer is z_p = a_p - S with S = (sum_p a_p) / (n + 1). z is
-    // unbounded, so this block minimization is exact — important for ADMM
-    // convergence.
+    // z-update, l4 and l3 dual ascent. The z-update reads the flow of
+    // *other* demands' paths through the edge's incidence slots — the
+    // coupling that makes this an edge pass, not a demand shard. Per-edge
+    // rows are independent and deterministic (slot order is fixed), so any
+    // chunking is bit-identical. The per-edge quadratic has Hessian
+    // rho*(I + 1 1ᵀ); by Sherman-Morrison, with a_p = f_p + l4_p/rho -
+    // l3/rho + cap - s3, the minimizer is z_p = a_p - S with
+    // S = (sum_p a_p) / (n + 1). z is unbounded, so this block minimization
+    // is exact — important for ADMM convergence. The l4 ascent is
+    // elementwise in (path, edge) and reads only the final z and the flow,
+    // so it runs here, on the slots this edge just wrote.
     pool.parallel_chunks(static_cast<std::size_t>(ne), [&](std::size_t b, std::size_t e_) {
       for (std::size_t ei = b; ei < e_; ++ei) {
         s3[ei] = std::max(0.0, cap[ei] - z_sum[ei] - l3[ei] / rho);
-        const auto& incs = edge_incidence_[ei];
-        if (!incs.empty()) {
+        const auto s_begin = static_cast<std::size_t>(edge_begin_[ei]);
+        const auto s_end = static_cast<std::size_t>(edge_begin_[ei + 1]);
+        if (s_begin != s_end) {
           const double offset = -l3[ei] / rho + cap[ei] - s3[ei];
           double a_sum = 0.0;
-          for (const auto& inc : incs) {
-            auto zi = static_cast<std::size_t>(inc.z_index);
-            const double f =
-                x[static_cast<std::size_t>(inc.path)] *
-                vol[static_cast<std::size_t>(pb_.demand_of_path(inc.path))];
+          for (std::size_t s = s_begin; s < s_end; ++s) {
             // Stash a_p in z temporarily.
-            z[zi] = f + l4[zi] / rho + offset;
-            a_sum += z[zi];
+            z[s] = flow[static_cast<std::size_t>(inc_path_[s])] + l4[s] / rho + offset;
+            a_sum += z[s];
           }
-          const double S = a_sum / (static_cast<double>(incs.size()) + 1.0);
-          for (const auto& inc : incs) {
-            z[static_cast<std::size_t>(inc.z_index)] -= S;
+          const auto n = static_cast<double>(s_end - s_begin);
+          const double S = a_sum / (n + 1.0);
+          for (std::size_t s = s_begin; s < s_end; ++s) {
+            z[s] -= S;
+            l4[s] += rho * (flow[static_cast<std::size_t>(inc_path_[s])] - z[s]);
           }
-          z_sum[ei] = a_sum - static_cast<double>(incs.size()) * S;
+          z_sum[ei] = a_sum - n * S;
         }
         l3[ei] += rho * (z_sum[ei] + s3[ei] - cap[ei]);
       }
     });
 
     // ---- Demand-side block 2 + dual ascent, fused per demand and fanned
-    // over the shards: s1-update, l1 ascent, and the l4 ascent over the
-    // demand's own (contiguous) path/z range.
+    // over the shards: s1-update and l1 ascent, then — when another
+    // F-update follows — each path's l4/z sums gathered from the edge
+    // slots in path order.
+    const bool gather = it + 1 < cfg_.iterations;
     run_sharded(shards, stats, [&](int /*shard*/, int d0, int d1) {
       for (int d = d0; d < d1; ++d) {
         const auto di = static_cast<std::size_t>(d);
         s1[di] = std::max(0.0, 1.0 - x_sum[di] - l1[di] / rho);
         l1[di] += rho * (x_sum[di] + s1[di] - 1.0);
+        if (!gather) continue;
         for (int p = pb_.path_begin(d); p < pb_.path_end(d); ++p) {
           const auto ps = static_cast<std::size_t>(p);
-          const double f = x[ps] * vol[di];
+          double sl4 = 0.0, sz = 0.0;
           for (int zi = z_offset_[ps]; zi < z_offset_[ps + 1]; ++zi) {
-            l4[static_cast<std::size_t>(zi)] += rho * (f - z[static_cast<std::size_t>(zi)]);
+            const auto s = static_cast<std::size_t>(slot_[static_cast<std::size_t>(zi)]);
+            sl4 += l4[s];
+            sz += z[s];
           }
+          sum_l4[ps] = sl4;
+          sum_z[ps] = sz;
         }
       }
     });
   }
 
-  res.after = violation(x);
+  // Each demand's last F-update wrote its flow from the final x.
+  res.after = violation();
   // ADMM iterates are not exactly feasible for the *demand* constraint; clamp
   // the per-demand sums (cheap and local) but keep capacity handling to the
   // evaluation semantics, as the paper does. Sharded: each demand's clamp and

@@ -39,8 +39,8 @@ int default_admm_iterations(int n_nodes);
 
 class Admm {
  public:
-  // Precomputes the per-edge (path, slot) index lists; reusable across solves
-  // on the same Problem.
+  // Precomputes the edge<->path incidence index; reusable across solves on
+  // the same Problem.
   explicit Admm(const te::Problem& pb, AdmmConfig cfg = {});
 
   // Fine-tunes `a` in place for the given matrix/capacities. Returns the
@@ -56,13 +56,15 @@ class Admm {
   // entry is fully re-initialized per call, so reuse never changes results.
   // Distinct Workspaces make concurrent fine_tune() calls on one Admm safe.
   // Buffers are arena-aware (util::AVec): a workspace sized under a bound
-  // util::Arena draws all thirteen from the arena in one cold pass.
+  // util::Arena draws all fifteen from the arena in one cold pass.
   struct Workspace {
     util::AVec<double> vol, cap;           // normalized volumes/capacities
     util::AVec<double> x, x_sum;           // split ratios and per-demand sums
-    util::AVec<double> z, z_sum, l4;       // per-(path,edge) auxiliaries
+    util::AVec<double> z, l4;              // per-(path,edge) auxiliaries, edge-slot order
+    util::AVec<double> z_sum;              // per-edge sum of z
+    util::AVec<double> flow;               // per-path flow x * vol
+    util::AVec<double> sum_l4, sum_z;      // per-path sums of l4 / z over its edges
     util::AVec<double> s1, l1, s3, l3;     // slacks and multipliers
-    util::AVec<double> load;               // per-edge load (violation check)
   };
 
   // Auto demand-shard plan (core::auto_shard_count).
@@ -71,12 +73,13 @@ class Admm {
 
   // Demand-sharded fine-tune. The per-demand stages — the F-update
   // (coordinate descent over [demand_begin, demand_end)), the s1/l1 updates
-  // and the l4 dual ascent over the demands' path ranges — fan out over
-  // `shards`; the coupled link-level stages (per-edge s3/z/l3, which read
-  // paths of *other* demands through the edge incidence lists) run as
+  // and the gather of each path's l4/z sums — fan out over `shards`; the
+  // coupled link-level stages (per-edge s3/z/l3 and the l4 dual ascent,
+  // which read paths of *other* demands through the edge incidence) run as
   // per-edge pool passes, and the residual reductions run sequentially on
   // the calling thread. The resulting allocation is bit-identical for every
-  // shard plan (tests/shard_test.cpp).
+  // shard plan (tests/shard_test.cpp) and to the path-major reference
+  // (tests/core_admm_test.cpp).
   Residuals fine_tune(const te::TrafficMatrix& tm, const std::vector<double>& capacities,
                       te::Allocation& a, Workspace& ws, const ShardPlan& shards,
                       ShardStat* stats = nullptr) const;
@@ -90,14 +93,16 @@ class Admm {
  private:
   const te::Problem& pb_;
   AdmmConfig cfg_;
-  // Flattened z layout: z index range of path p is [z_offset_[p], z_offset_[p+1]).
+  // Path-major numbering of the (path, edge) incidences: path p owns
+  // indices [z_offset_[p], z_offset_[p+1]), one per edge in path order.
   std::vector<int> z_offset_;
-  // Per edge: list of (z index, global path id) incidences.
-  struct Incidence {
-    int z_index;
-    int path;
-  };
-  std::vector<std::vector<Incidence>> edge_incidence_;
+  // Edge-major CSR over the same incidences, which is the order z and l4
+  // are stored in: edge e owns slots [edge_begin_[e], edge_begin_[e+1]), in
+  // ascending path order; inc_path_[s] is the path of slot s, and
+  // slot_[zi] the slot of path-major index zi.
+  std::vector<int> edge_begin_;
+  std::vector<int> inc_path_;
+  std::vector<int> slot_;
 };
 
 }  // namespace teal::core

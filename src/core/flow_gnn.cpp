@@ -77,11 +77,43 @@ inline void widen_row(const nn::BasicMat<T>& m, const nn::BasicMat<T>& feat0, in
   for (int c = m.cols(); c < target; ++c) out.at(r, c) = feat0.at(r, 0);
 }
 
-// Mean over a neighbor list into one pre-sized output row. Accumulation
-// order follows the list, so any row partition is bit-identical.
+// Mean over a neighbor list into one output row, for a width fixed at
+// compile time: each column accumulates in a register, in list order, and is
+// scaled once — per column the same additions and multiplication as the
+// runtime-width loop below, so both produce identical bits.
+template <int D, typename T, typename List>
+inline void mean_gather_fixed(const nn::BasicMat<T>& src, const List& neighbors, T* out) {
+  if (neighbors.empty()) {
+    for (int c = 0; c < D; ++c) out[c] = T(0);
+    return;
+  }
+  T acc[D] = {};
+  for (auto n : neighbors) {
+    const T* nr = src.row_ptr(static_cast<int>(n));
+    for (int c = 0; c < D; ++c) acc[c] += nr[c];
+  }
+  const T inv = T(1) / static_cast<T>(neighbors.size());
+  for (int c = 0; c < D; ++c) out[c] = acc[c] * inv;
+}
+
+// Mean over a neighbor list into one pre-sized output row of width d.
+// Accumulation order follows the list, so any row partition is
+// bit-identical. Widths up to 8 (every default-config block) take the
+// fixed-width body; wider configs (Fig 15b) accumulate through `out`.
 template <typename T, typename List>
 inline void mean_gather_row(const nn::BasicMat<T>& src, const List& neighbors, T* out,
                             int d) {
+  switch (d) {
+    case 1: return mean_gather_fixed<1>(src, neighbors, out);
+    case 2: return mean_gather_fixed<2>(src, neighbors, out);
+    case 3: return mean_gather_fixed<3>(src, neighbors, out);
+    case 4: return mean_gather_fixed<4>(src, neighbors, out);
+    case 5: return mean_gather_fixed<5>(src, neighbors, out);
+    case 6: return mean_gather_fixed<6>(src, neighbors, out);
+    case 7: return mean_gather_fixed<7>(src, neighbors, out);
+    case 8: return mean_gather_fixed<8>(src, neighbors, out);
+    default: break;
+  }
   for (int c = 0; c < d; ++c) out[c] = T(0);
   if (neighbors.empty()) return;
   for (auto n : neighbors) {
@@ -92,12 +124,14 @@ inline void mean_gather_row(const nn::BasicMat<T>& src, const List& neighbors, T
   for (int c = 0; c < d; ++c) out[c] *= inv;
 }
 
-// Concat row body: out row r = [a row r | b row r]; `out` pre-sized.
-template <typename T>
-inline void concat_row(const nn::BasicMat<T>& a, const nn::BasicMat<T>& b, int r,
-                       nn::BasicMat<T>& out) {
-  std::copy(a.row_ptr(r), a.row_ptr(r) + a.cols(), out.row_ptr(r));
-  std::copy(b.row_ptr(r), b.row_ptr(r) + b.cols(), out.row_ptr(r) + a.cols());
+// GNN-layer input row r = [self row r | mean of the neighbors' rows],
+// gathered straight into the concat matrix `cat` (pre-sized, 2d wide).
+template <typename T, typename List>
+inline void self_and_mean_row(const nn::BasicMat<T>& self, const nn::BasicMat<T>& src,
+                              const List& neighbors, int r, int d, nn::BasicMat<T>& cat) {
+  T* out = cat.row_ptr(r);
+  std::copy(self.row_ptr(r), self.row_ptr(r) + d, out);
+  mean_gather_row(src, neighbors, out + d, d);
 }
 }  // namespace
 
@@ -156,9 +190,8 @@ void FlowGnn::edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
   nn::BasicMat<T>* next_in =
       last ? nullptr : &fwd.blocks[static_cast<std::size_t>(l) + 1].edge_in;
   for (int e = e_begin; e < e_end; ++e) {
-    mean_gather_row(blk.path_in, pb.paths_on_edge(static_cast<topo::EdgeId>(e)),
-                    fwd.agg_e.row_ptr(e), d);
-    concat_row(blk.edge_in, fwd.agg_e, e, blk.edge_cat);
+    self_and_mean_row(blk.edge_in, blk.path_in, pb.paths_on_edge(static_cast<topo::EdgeId>(e)),
+                      e, d, blk.edge_cat);
   }
   lin.forward_rows(blk.edge_cat, blk.edge_pre, e_begin, e_end);
   nn::leaky_relu_forward_rows(blk.edge_pre, blk.edge_act, e_begin, e_end, cfg_.leaky_alpha);
@@ -191,8 +224,7 @@ void FlowGnn::demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
   const int p_end = pb.path_end(d_end - 1);
   // --- GNN layer, path side.
   for (int p = p_begin; p < p_end; ++p) {
-    mean_gather_row(blk.edge_in, pb.path_edges(p), fwd.agg_p.row_ptr(p), d);
-    concat_row(blk.path_in, fwd.agg_p, p, blk.path_cat);
+    self_and_mean_row(blk.path_in, blk.edge_in, pb.path_edges(p), p, d, blk.path_cat);
   }
   p_lin.forward_rows(blk.path_cat, blk.path_pre, p_begin, p_end);
   nn::leaky_relu_forward_rows(blk.path_pre, blk.path_act, p_begin, p_end, cfg_.leaky_alpha);
@@ -274,8 +306,6 @@ void FlowGnn::forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
     // Size every buffer of the block before fanning out — resize must never
     // run concurrently, and pre-sizing keeps warm passes allocation-free
     // exactly as before.
-    fwd.agg_e.resize(ne, d);
-    fwd.agg_p.resize(np, d);
     blk.edge_cat.resize(ne, 2 * d);
     blk.path_cat.resize(np, 2 * d);
     blk.edge_pre.resize(ne, d);

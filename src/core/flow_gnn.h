@@ -63,7 +63,8 @@ class FlowGnn {
     // Per-block caches needed by backward.
     struct Block {
       nn::BasicMat<T> edge_in, path_in;    // block inputs (N_e x d), (N_p x d)
-      nn::BasicMat<T> edge_cat, path_cat;  // concat [self, agg] inputs to the linears
+      nn::BasicMat<T> edge_cat, path_cat;  // [self | neighbor mean] inputs to the linears;
+                                           // the gathers write the mean half in place
       nn::BasicMat<T> edge_pre, path_pre;  // pre-activations
       nn::BasicMat<T> edge_act, path_act;  // post-activations (edge output of block)
       nn::BasicMat<T> dnn_in, dnn_pre;     // per-demand concat (D x k*d) and pre-act
@@ -76,7 +77,6 @@ class FlowGnn {
     nn::BasicMat<T> final_paths;             // (N_p x n_blocks) final path embeddings
 
     // Scratch reused across blocks (not needed by backward).
-    nn::BasicMat<T> agg_e, agg_p;            // bipartite aggregation outputs
     nn::BasicMat<T> dnn_act;                 // DNN-layer activation
     std::vector<double> caps;  // capacity snapshot when none is passed (always f64)
   };

@@ -3,6 +3,7 @@
 #include <poll.h>
 
 #include <atomic>
+#include <cmath>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -128,6 +129,13 @@ SubmitOutcome Server::submit_solve(Session& session, std::uint32_t request_id,
   if (static_cast<int>(tm.volume.size()) != route.pb->num_demands()) {
     expected_demands = route.pb->num_demands();
     return SubmitOutcome::kBadDemandCount;
+  }
+  // One NaN volume turns every split NaN, so unsolvable volumes are refused
+  // here rather than thrown inside the solve: a replica treats any solve
+  // exception as its own death and requeues the request, so a thrown
+  // rejection would take down every replica in turn.
+  for (double v : tm.volume) {
+    if (!(std::isfinite(v) && v >= 0.0)) return SubmitOutcome::kBadVolume;
   }
   auto slot = std::make_shared<PendingSolve>();
   slot->tm = std::move(tm);

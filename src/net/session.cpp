@@ -127,6 +127,11 @@ void Session::handle_frame(Frame&& f, const SubmitFn& submit) {
                        "expected " + std::to_string(expected_demands) + " demands, got " +
                            std::to_string(got_demands));
           break;
+        case SubmitOutcome::kBadVolume:
+          ++stats_.bad_requests;
+          encode_error(bytes, f.request_id, ErrorCode::kBadVolume,
+                       "demand volumes must be finite and non-negative");
+          break;
       }
       append_locked(bytes);
       return;

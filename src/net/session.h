@@ -51,14 +51,15 @@ struct SessionStats {
   std::uint64_t shed = 0;             // shed frames queued
   std::uint64_t pings = 0;
   std::uint64_t protocol_errors = 0;  // malformed frames / streams
-  std::uint64_t bad_requests = 0;     // well-formed but wrong demand count
+  std::uint64_t bad_requests = 0;     // well-formed but wrong demand count or
+                                      // an unsolvable (non-finite/negative) volume
   std::uint64_t unknown_tenants = 0;  // well-formed, no such tenant
 
   void accumulate(const SessionStats& other);
 };
 
 // What the backend did with a routed solve request. The session turns each
-// refusal shape into the right frame: kShed carries the ShedReason, the two
+// refusal shape into the right frame: kShed carries the ShedReason, the three
 // validation outcomes carry typed error frames, and all of them leave the
 // connection usable (only malformed streams close it).
 enum class SubmitOutcome : std::uint8_t {
@@ -66,6 +67,7 @@ enum class SubmitOutcome : std::uint8_t {
   kShed,            // backend refused (reason names why)
   kUnknownTenant,   // no tenant by that name in the fleet
   kBadDemandCount,  // demand count does not match the tenant's problem
+  kBadVolume,       // a demand volume is NaN, infinite or negative
 };
 
 class Session {
@@ -75,9 +77,9 @@ class Session {
   // `expected_demands` (the tenant's demand count, for the error message).
   // The callee owns routing the completion back to this session by id — the
   // session itself is tenant-agnostic, which is what keeps multi-tenant
-  // routing out of the protocol state machine. Demand-count validation lives
+  // routing out of the protocol state machine. Request validation lives
   // behind the hook too (not here): only the routed tenant's Problem knows
-  // the right count.
+  // the right demand count.
   using SubmitFn = std::function<SubmitOutcome(
       Session& session, std::uint32_t request_id, const std::string& tenant,
       te::TrafficMatrix&& tm, ShedReason& reason, int& expected_demands)>;

@@ -86,6 +86,8 @@ enum class ErrorCode : std::uint32_t {
   kUnknownTenant = 4,   // no such tenant in the fleet; connection stays usable
   kInternal = 5,        // server-side failure (e.g. every replica died before
                         // the request could be solved); connection stays usable
+  kBadVolume = 6,       // well-formed request, but a demand volume is NaN,
+                        // infinite or negative; connection stays usable
 };
 
 struct Frame {

@@ -1,9 +1,15 @@
 // Tests for ADMM fine-tuning (§3.4, Appendix C): violation reduction,
 // demand-constraint preservation, objective improvement from a warm start,
-// and the cold-start observation that motivates warm-starting.
+// the cold-start observation that motivates warm-starting, and bit-exact
+// agreement with the path-major reference (tests/reference_solve.h).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "core/admm.h"
+#include "lp/path_lp.h"
+#include "reference_solve.h"
 #include "te/objective.h"
 #include "topo/topology.h"
 #include "traffic/traffic.h"
@@ -145,6 +151,104 @@ TEST(Admm, NoViolationIsStable) {
   double routed = 0.0;
   for (double s : a.split) routed += s;
   EXPECT_GT(routed, 0.0);
+}
+
+// ---- Oracle: the edge-major solve against the path-major reference.
+
+te::Problem sampled_problem(const std::string& topo_name, int n_demands, double util,
+                            traffic::Trace* trace_out) {
+  auto g = topo::make_topology(topo_name);
+  auto demands = traffic::sample_demands(g, n_demands, /*seed=*/21);
+  te::Problem pb(std::move(g), std::move(demands), 4);
+  traffic::TraceConfig cfg;
+  cfg.n_intervals = 1;
+  cfg.seed = 22;
+  *trace_out = traffic::generate_trace(pb, cfg);
+  traffic::calibrate_capacities(pb, *trace_out, util);
+  return pb;
+}
+
+// A deterministic warm start that overloads the demand constraint on some
+// demands and leaves slack on others.
+te::Allocation scattered_allocation(const te::Problem& pb) {
+  auto a = pb.empty_allocation();
+  for (int p = 0; p < pb.total_paths(); ++p) {
+    a.split[static_cast<std::size_t>(p)] = static_cast<double>((p * 37) % 11) / 20.0;
+  }
+  return a;
+}
+
+// fine_tune must reproduce the reference's splits byte for byte and its
+// residuals exactly, for 1 and 4 demand shards on one reused workspace.
+void expect_matches_reference(const te::Problem& pb, const core::AdmmConfig& cfg,
+                              const te::TrafficMatrix& tm, const std::vector<double>& caps,
+                              const te::Allocation& start) {
+  auto ref = start;
+  const auto ref_res = reference::reference_fine_tune(pb, cfg, tm, caps, ref);
+  const core::Admm admm(pb, cfg);
+  core::Admm::Workspace ws;
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    auto out = start;
+    const auto res = admm.fine_tune(tm, caps, out, ws,
+                                    core::ShardPlan::make(pb.num_demands(), shards));
+    ASSERT_EQ(out.split.size(), ref.split.size());
+    EXPECT_EQ(std::memcmp(out.split.data(), ref.split.data(), ref.split.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(res.before, ref_res.before);
+    EXPECT_EQ(res.after, ref_res.after);
+  }
+}
+
+TEST(AdmmOracle, KdlLongPathsMatchReference) {
+  traffic::Trace trace;
+  auto pb = sampled_problem("Kdl", 150, 2.0, &trace);
+  core::AdmmConfig cfg;
+  cfg.iterations = core::default_admm_iterations(pb.graph().num_nodes());
+  ASSERT_EQ(cfg.iterations, 5);
+  expect_matches_reference(pb, cfg, trace.at(0), pb.capacities(), scattered_allocation(pb));
+}
+
+TEST(AdmmOracle, B4TwoIterationsMatchReference) {
+  traffic::Trace trace;
+  auto pb = b4_problem(2.0, &trace);
+  core::AdmmConfig cfg;
+  cfg.iterations = core::default_admm_iterations(pb.graph().num_nodes());
+  ASSERT_EQ(cfg.iterations, 2);
+  expect_matches_reference(pb, cfg, trace.at(0), pb.capacities(), scattered_allocation(pb));
+  expect_matches_reference(pb, cfg, trace.at(1), pb.capacities(), violating_allocation(pb));
+}
+
+TEST(AdmmOracle, LatencyPenalizedWeightsMatchReference) {
+  traffic::Trace trace;
+  auto pb = sampled_problem("UsCarrier", 120, 1.5, &trace);
+  core::AdmmConfig cfg;
+  cfg.path_weight = lp::latency_penalty_weights(pb, 0.5);
+  ASSERT_FALSE(cfg.path_weight.empty());
+  expect_matches_reference(pb, cfg, trace.at(0), pb.capacities(), scattered_allocation(pb));
+}
+
+TEST(AdmmOracle, ZeroedLinksMatchReference) {
+  traffic::Trace trace;
+  auto pb = b4_problem(2.0, &trace);
+  core::AdmmConfig cfg;
+  cfg.iterations = 5;
+  auto caps = pb.capacities();
+  for (std::size_t e = 0; e < caps.size(); e += 5) caps[e] = 0.0;
+  expect_matches_reference(pb, cfg, trace.at(0), caps, violating_allocation(pb));
+}
+
+TEST(AdmmOracle, UnusedEdgesMatchReference) {
+  // Three demands on SWAN leave most edges on no path, so most edge ranges
+  // of the incidence are empty.
+  traffic::Trace trace;
+  auto pb = sampled_problem("SWAN", 3, 3.0, &trace);
+  int unused = 0;
+  for (int e = 0; e < pb.graph().num_edges(); ++e) unused += pb.paths_on_edge(e).empty();
+  ASSERT_GT(unused, 0);
+  core::AdmmConfig cfg;
+  cfg.iterations = 5;
+  expect_matches_reference(pb, cfg, trace.at(0), pb.capacities(), scattered_allocation(pb));
 }
 
 }  // namespace

@@ -1,12 +1,17 @@
 // Tests for FlowGNN, the policy network, and the end-to-end TealModel —
 // including a full finite-difference gradient check through message passing,
-// DNN coordination layers, widening, and the policy head.
+// DNN coordination layers, widening, and the policy head, and bit-exact
+// agreement of the message-passing gathers with the runtime-width reference
+// (tests/reference_solve.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <string>
 
 #include "core/model.h"
+#include "reference_solve.h"
 #include "core/teal_scheme.h"
 #include "topo/topology.h"
 #include "traffic/traffic.h"
@@ -247,6 +252,75 @@ TEST(FlowGnn, ComputationIndependentOfTrafficValues) {
   auto f1 = gnn.forward(pb, tm_small);
   auto f2 = gnn.forward(pb, tm_large);
   EXPECT_TRUE(f1.final_paths.same_shape(f2.final_paths));
+}
+
+// Every block's GNN-layer inputs must be [self | mean of neighbors] with the
+// mean bit-equal to the runtime-width reference gather over the block's own
+// inputs. Blocks feed each other, so this pins the whole forward.
+template <typename T>
+void expect_gathers_match_reference(const te::Problem& pb, const core::FlowGnn& gnn,
+                                    const core::FlowGnn::ForwardT<T>& fwd) {
+  ASSERT_EQ(static_cast<int>(fwd.blocks.size()), gnn.config().n_blocks);
+  std::vector<T> ref;
+  for (int l = 0; l < gnn.config().n_blocks; ++l) {
+    SCOPED_TRACE("block " + std::to_string(l));
+    const auto& blk = fwd.blocks[static_cast<std::size_t>(l)];
+    const int d = gnn.block_dim(l);
+    const auto bytes = static_cast<std::size_t>(d) * sizeof(T);
+    ASSERT_EQ(blk.edge_cat.cols(), 2 * d);
+    ASSERT_EQ(blk.path_cat.cols(), 2 * d);
+    ref.resize(static_cast<std::size_t>(d));
+    int mismatched_rows = 0;
+    for (int e = 0; e < pb.graph().num_edges(); ++e) {
+      reference::reference_mean_gather(blk.path_in, pb.paths_on_edge(e), ref.data(), d);
+      const T* row = blk.edge_cat.row_ptr(e);
+      mismatched_rows += std::memcmp(row, blk.edge_in.row_ptr(e), bytes) != 0 ||
+                         std::memcmp(row + d, ref.data(), bytes) != 0;
+    }
+    for (int p = 0; p < pb.total_paths(); ++p) {
+      reference::reference_mean_gather(blk.edge_in, pb.path_edges(p), ref.data(), d);
+      const T* row = blk.path_cat.row_ptr(p);
+      mismatched_rows += std::memcmp(row, blk.path_in.row_ptr(p), bytes) != 0 ||
+                         std::memcmp(row + d, ref.data(), bytes) != 0;
+    }
+    EXPECT_EQ(mismatched_rows, 0);
+  }
+}
+
+TEST(FlowGnnOracle, GathersMatchReferenceAtEveryWidth) {
+  // The default config runs widths 1..6 (fixed-width gathers); final_dim 12
+  // runs 1, 3, 5, 8 and then 10, 12 through the runtime-width fallback. Few
+  // demands on SWAN leave some edges on no path (empty neighbor lists).
+  auto g = topo::make_topology("SWAN");
+  auto demands = traffic::sample_demands(g, 40, /*seed=*/31);
+  te::Problem pb(std::move(g), std::move(demands), 4);
+  traffic::TraceConfig tc;
+  tc.n_intervals = 1;
+  tc.seed = 32;
+  const auto trace = traffic::generate_trace(pb, tc);
+  int unused = 0;
+  for (int e = 0; e < pb.graph().num_edges(); ++e) unused += pb.paths_on_edge(e).empty();
+  ASSERT_GT(unused, 0);
+  for (int final_dim : {0, 12}) {
+    SCOPED_TRACE("final_dim " + std::to_string(final_dim));
+    core::FlowGnnConfig cfg;
+    cfg.final_dim = final_dim;
+    util::Rng rng(5);
+    core::FlowGnn gnn(cfg, pb.k_paths(), rng);
+    if (final_dim == 12) {
+      ASSERT_GT(gnn.final_dim(), 8);
+    }
+    for (int shards : {1, 3}) {
+      const auto plan = core::ShardPlan::make(pb.num_demands(), shards);
+      core::FlowGnn::Forward fwd;
+      gnn.forward(pb, trace.at(0), nullptr, fwd, plan);
+      expect_gathers_match_reference(pb, gnn, fwd);
+      gnn.prepare_f32();
+      core::FlowGnn::ForwardF fwd32;
+      gnn.forward_f32(pb, trace.at(0), nullptr, fwd32, plan);
+      expect_gathers_match_reference(pb, gnn, fwd32);
+    }
+  }
 }
 
 }  // namespace

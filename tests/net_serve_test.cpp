@@ -13,6 +13,8 @@
 #include <sys/socket.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
 #include <thread>
 
 #include "core/teal_scheme.h"
@@ -218,6 +220,35 @@ TEST(NetServe, WrongDemandCountGetsTypedErrorAndConnectionSurvives) {
   EXPECT_EQ(client.solve(s.trace.at(0)).kind, net::Client::Reply::Kind::kResponse);
   auto stats = fx.server.stats();
   EXPECT_EQ(stats.sessions.bad_requests, 1u);
+}
+
+TEST(NetServe, UnsolvableVolumeGetsTypedErrorAndConnectionSurvives) {
+  // A NaN volume would turn every split NaN, and a solve-time throw would
+  // read as replica death; the server refuses each such request up front.
+  auto s = net_setup("B4", 60, 1);
+  auto scheme = make_teal(s.pb);
+  NetFixture fx(s.pb, serve::make_replicas(scheme, 1));
+  auto client = fx.connect();
+  te::Allocation direct;
+  scheme.solve_into(s.pb, s.trace.at(0), direct);
+
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(), -1.0};
+  for (double bad : bad_values) {
+    SCOPED_TRACE("volume " + std::to_string(bad));
+    te::TrafficMatrix poisoned = s.trace.at(0);
+    poisoned.volume[poisoned.volume.size() / 2] = bad;
+    auto reply = client.solve(poisoned);
+    ASSERT_EQ(reply.kind, net::Client::Reply::Kind::kError);
+    EXPECT_EQ(reply.error_code, net::ErrorCode::kBadVolume);
+
+    // Same connection, valid request: served, byte-correct.
+    auto ok = client.solve(s.trace.at(0));
+    ASSERT_EQ(ok.kind, net::Client::Reply::Kind::kResponse);
+    expect_bit_identical(direct, ok.alloc, "after a refused volume");
+  }
+  auto stats = fx.server.stats();
+  EXPECT_EQ(stats.sessions.bad_requests, 3u);
 }
 
 // Regression: a malformed solve-request *payload* (well-framed, inconsistent
