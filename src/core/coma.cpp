@@ -63,9 +63,12 @@ double evaluate_model(const Model& model, const te::Problem& pb,
                       const traffic::Trace& trace, te::Objective obj) {
   double total = 0.0;
   const std::vector<double> caps = pb.capacities();
+  const int nd = pb.num_demands();
+  const ShardPlan plan = ShardPlan::make(nd, auto_shard_count(nd, pb.total_paths()));
+  ModelForward fwd;
   for (int t = 0; t < trace.size(); ++t) {
     const auto& tm = trace.at(t);
-    auto fwd = model.forward_m(pb, tm, &caps);
+    model.forward_ws(pb, tm, &caps, fwd, plan);
     auto alloc = allocation_from_splits(pb, splits_from_logits(fwd.logits, fwd.mask));
     total += te::objective_score(pb, tm, alloc, obj, &caps) / std::max(1e-9, tm.total());
   }
@@ -80,7 +83,7 @@ TrainStats train_coma(Model& model, const te::Problem& pb, const traffic::Trace&
   const std::vector<double> caps = pb.capacities();
 
   TrainContext ctx;
-  ctx.prepare(model, pb, cfg.rollout_batch, cfg.workers);
+  ctx.prepare(model, cfg.rollout_batch, cfg.workers);
   const int batch = ctx.rollout_batch();
 
   // Inner per-rollout demand plan: when the step's rollouts run concurrently
@@ -123,8 +126,7 @@ TrainStats train_coma(Model& model, const te::Problem& pb, const traffic::Trace&
         const te::TrafficMatrix& tm = train.at(t);
         auto& slot = ctx.slot(s);
 
-        // Forward through the slot's workspace (allocation-free once warm;
-        // models without the seam fall back to forward_m internally).
+        // Forward through the slot's workspace (allocation-free once warm).
         model.forward_ws(pb, tm, &caps, slot.ws.fwd, plan, nullptr);
         const nn::Mat& logits = slot.ws.fwd.logits;
         const nn::Mat& mask = slot.ws.fwd.mask;
@@ -200,18 +202,12 @@ TrainStats train_coma(Model& model, const te::Problem& pb, const traffic::Trace&
           }
         });
 
-        if (ctx.ws_path()) {
-          slot.grads.zero();
-          model.backward_ws(pb, slot.ws.fwd, slot.grad_logits, ctx.bws(chunk),
-                            slot.grads.refs());
-        } else {
-          // Legacy models: sequential by construction (workers forced to 1),
-          // accumulate straight into Param::g.
-          model.backward_m(pb, slot.ws.fwd, slot.grad_logits);
-        }
+        slot.grads.zero();
+        model.backward_ws(pb, slot.ws.fwd, slot.grad_logits, ctx.bws(chunk),
+                          slot.grads.refs());
       });
 
-      if (ctx.ws_path()) ctx.reduce(n_active);
+      ctx.reduce(n_active);
       adam.clip_grad_norm(cfg.grad_clip);
       adam.step();
       for (int s = 0; s < n_active; ++s) reward_sum += ctx.slot(s).stat;

@@ -23,29 +23,25 @@ void TealModel::run_pipeline(const te::Problem& pb, const te::TrafficMatrix& tm,
   });
 }
 
-void TealModel::prepare_f32() {
-  gnn_.prepare_f32();
-  policy_.prepare_f32();
-}
-
-void TealModel::prepare_bf16() {
-  gnn_.prepare_bf16();
-  policy_.prepare_bf16();
+void TealModel::prepare(te::Precision p) {
+  if (p == te::Precision::f32) {
+    gnn_.prepare_f32();
+    policy_.prepare_f32();
+  } else if (p == te::Precision::bf16) {
+    gnn_.prepare_bf16();
+    policy_.prepare_bf16();
+  }
 }
 
 void TealModel::forward_ws_narrowed(const te::Problem& pb, const te::TrafficMatrix& tm,
                                     const std::vector<double>* capacities, ModelForward& out,
                                     const ShardPlan& shards, ShardStat* stats,
                                     bool use_bf16) const {
-  // Same cache-reuse contract as forward_ws, under the narrowed owner tag (a
-  // narrowed cache is a ForwardF32; the f64 path must never reinterpret it).
-  // f32 and bf16 share the cache: same type, every activation fully
+  // Same cache-reuse contract as the f64 path, under the narrowed owner tag
+  // (a narrowed cache is a ForwardF32; the f64 path must never reinterpret
+  // it). f32 and bf16 share the cache: same type, every activation fully
   // rewritten per forward.
-  if (out.owner != &f32_owner_tag_ || out.cache == nullptr || out.cache.use_count() != 1) {
-    out.cache = std::make_shared<ForwardF32>();
-    out.owner = &f32_owner_tag_;
-  }
-  auto* typed = static_cast<ForwardF32*>(out.cache.get());
+  auto* typed = &claim_cache<ForwardF32>(out, &f32_owner_tag_);
   if (use_bf16) {
     gnn_.forward_bf16(pb, tm, capacities, typed->gnn, shards, stats);
   } else {
@@ -77,18 +73,6 @@ void TealModel::forward_ws_narrowed(const te::Problem& pb, const te::TrafficMatr
       for (int c = 0; c < k_; ++c) outr[c] = static_cast<double>(lr[c]);
     }
   });
-}
-
-void TealModel::forward_ws_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
-                               const std::vector<double>* capacities, ModelForward& out,
-                               const ShardPlan& shards, ShardStat* stats) const {
-  forward_ws_narrowed(pb, tm, capacities, out, shards, stats, /*use_bf16=*/false);
-}
-
-void TealModel::forward_ws_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                const std::vector<double>* capacities, ModelForward& out,
-                                const ShardPlan& shards, ShardStat* stats) const {
-  forward_ws_narrowed(pb, tm, capacities, out, shards, stats, /*use_bf16=*/true);
 }
 
 void TealModel::forward(const te::Problem& pb, const te::TrafficMatrix& tm,
@@ -123,80 +107,38 @@ std::vector<nn::Param*> TealModel::params() {
   return ps;
 }
 
-ModelForward TealModel::forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                  const std::vector<double>* capacities) const {
-  auto typed = std::make_shared<Forward>(forward(pb, tm, capacities));
-  ModelForward out;
-  out.logits = typed->logits;
-  out.mask = typed->mask;
-  out.cache = typed;
-  out.owner = this;
-  return out;
-}
-
-void TealModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
-                           const std::vector<double>* capacities, ModelForward& out) const {
-  const int nd = pb.num_demands();
-  forward_ws(pb, tm, capacities, out,
-             ShardPlan::make(nd, auto_shard_count(nd, pb.total_paths())));
-}
-
 void TealModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
                            const std::vector<double>* capacities, ModelForward& out,
-                           const ShardPlan& shards, ShardStat* stats) const {
-  // A shared cache (use_count > 1) must not be overwritten in place — another
-  // ModelForward may still need it for backward_m. Start fresh instead.
-  if (out.owner != this || out.cache == nullptr || out.cache.use_count() != 1) {
-    out.cache = std::make_shared<Forward>();
-    out.owner = this;
+                           const ShardPlan& shards, ShardStat* stats,
+                           te::Precision precision) const {
+  if (precision != te::Precision::f64) {
+    forward_ws_narrowed(pb, tm, capacities, out, shards, stats,
+                        /*use_bf16=*/precision == te::Precision::bf16);
+    return;
   }
-  auto* typed = static_cast<Forward*>(out.cache.get());
+  Forward& typed = claim_cache<Forward>(out, this);
   // run_pipeline (not forward) to skip the typed-API Forward::logits copy:
   // the solve path reads logits from the ModelForward only.
-  run_pipeline(pb, tm, capacities, *typed, shards, stats);
-  out.logits = typed->policy.logits;  // capacity-reusing copies
-  out.mask = typed->mask;
+  run_pipeline(pb, tm, capacities, typed, shards, stats);
+  out.logits = typed.policy.logits;  // capacity-reusing copies
+  out.mask = typed.mask;
 }
 
 void TealModel::backward_ws(const te::Problem& pb, const ModelForward& fwd,
                             const nn::Mat& grad_logits, TrainBackward& bws,
                             nn::GradRefs grads) const {
-  // Same cache-provenance contract as backward_m: only this model's f64
-  // forward cache can back-propagate.
-  if (fwd.owner != this || fwd.cache == nullptr) {
-    throw std::logic_error(
-        "TealModel::backward_ws: forward cache was not produced by this model's "
-        "f64 forward path (narrowed f32/bf16 inference caches cannot back-propagate)");
-  }
+  const auto& typed = owned_cache<Forward>(fwd, this, "TealModel::backward_ws");
   if (grads.size() != gnn_.num_params() + policy_.num_params()) {
     throw std::invalid_argument("TealModel::backward_ws: grads size mismatch");
   }
-  if (bws.owner != this || bws.cache == nullptr || bws.cache.use_count() != 1) {
-    bws.cache = std::make_shared<BackwardCache>();
-    bws.owner = this;
-  }
-  auto* ws = static_cast<BackwardCache*>(bws.cache.get());
-  const auto* typed = static_cast<const Forward*>(fwd.cache.get());
-  policy_.backward_ws(typed->policy, grad_logits, ws->policy, ws->grad_input,
+  auto& ws = claim_cache<BackwardCache>(bws, this);
+  policy_.backward_ws(typed.policy, grad_logits, ws.policy, ws.grad_input,
                       grads.subspan(gnn_.num_params()));
-  ws->grad_paths.resize(pb.total_paths(), gnn_.final_dim());
-  ws->grad_paths.zero();  // scatter accumulates per path slot
-  scatter_policy_input_grad(pb, ws->grad_input, k_, gnn_.final_dim(), ws->grad_paths);
-  gnn_.backward_ws(pb, typed->gnn, ws->grad_paths, ws->gnn,
+  ws.grad_paths.resize(pb.total_paths(), gnn_.final_dim());
+  ws.grad_paths.zero();  // scatter accumulates per path slot
+  scatter_policy_input_grad(pb, ws.grad_input, k_, gnn_.final_dim(), ws.grad_paths);
+  gnn_.backward_ws(pb, typed.gnn, ws.grad_paths, ws.gnn,
                    grads.subspan(0, gnn_.num_params()));
-}
-
-void TealModel::backward_m(const te::Problem& pb, const ModelForward& fwd,
-                           const nn::Mat& grad_logits) {
-  // Only an f64 cache produced by this model can back-propagate: an f32
-  // cache (owner == &f32_owner_tag_) has no double activations, and a cache
-  // from another model would be reinterpreted garbage.
-  if (fwd.owner != this || fwd.cache == nullptr) {
-    throw std::logic_error(
-        "TealModel::backward_m: forward cache was not produced by this model's "
-        "f64 forward path (narrowed f32/bf16 inference caches cannot back-propagate)");
-  }
-  backward(pb, *std::static_pointer_cast<Forward>(fwd.cache), grad_logits);
 }
 
 nn::Mat splits_from_logits(const nn::Mat& logits, const nn::Mat& mask) {

@@ -13,6 +13,7 @@
 
 #include "core/flow_gnn.h"
 #include "core/policy_net.h"
+#include "te/scheme.h"
 
 namespace teal::core {
 
@@ -42,85 +43,83 @@ struct TrainBackward {
   const void* owner = nullptr;
 };
 
-// Interface the trainers (COMA*, direct loss) operate on, so the same
-// training loop drives Teal and every ablation variant (§5.7).
+// The typed cache behind `slot` (a ModelForward or TrainBackward) for the
+// model tagged `owner`. A cache from another owner — or one still shared with
+// another ModelForward that may back-propagate through it — is replaced by a
+// fresh one rather than reinterpreted or overwritten in place.
+template <typename Cache, typename Slot>
+Cache& claim_cache(Slot& slot, const void* owner) {
+  if (slot.owner != owner || slot.cache == nullptr || slot.cache.use_count() != 1) {
+    slot.cache = std::make_shared<Cache>();
+    slot.owner = owner;
+  }
+  return *static_cast<Cache*>(slot.cache.get());
+}
+
+// The typed f64 forward cache `owner` left in `fwd`, for its backward pass.
+// Throws std::logic_error on a foreign cache (another model's, or a narrowed
+// f32/bf16 inference cache, which holds no double activations).
+template <typename Cache>
+const Cache& owned_cache(const ModelForward& fwd, const void* owner, const char* who) {
+  if (fwd.owner != owner || fwd.cache == nullptr) {
+    throw std::logic_error(std::string(who) +
+                           ": forward cache was not produced by this model's f64 forward "
+                           "(foreign or narrowed f32/bf16 caches cannot back-propagate)");
+  }
+  return *static_cast<const Cache*>(fwd.cache.get());
+}
+
+// The one seam the trainers (COMA*, direct loss), TealScheme and the serving
+// layer drive every model through — Teal and each Figure 14 ablation variant
+// (§5.7) alike: one workspace forward, one workspace backward.
 class Model {
  public:
   virtual ~Model() = default;
 
-  virtual ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                 const std::vector<double>* capacities = nullptr) const = 0;
-  virtual void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                          const nn::Mat& grad_logits) = 0;
+  // Runs the model into `fwd`, reusing its cache when this model produced it
+  // (warm calls allocate nothing). Per-demand stages may fan out over
+  // `shards`, writing disjoint rows; results are bit-identical for every
+  // plan, and `stats` (optional, shards.n_shards entries) collects per-shard
+  // accounting. `precision` selects the NN arithmetic: f64 is the reference;
+  // a narrowed precision widens logits/mask back to double so everything
+  // downstream (masked softmax, ADMM) is unchanged, and requires prepare()
+  // first. A precision the model does not support throws std::logic_error —
+  // never a silent f64 fallback. Safe to call concurrently with distinct
+  // `fwd` objects.
+  virtual void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                          const std::vector<double>* capacities, ModelForward& fwd,
+                          const ShardPlan& shards, ShardStat* stats = nullptr,
+                          te::Precision precision = te::Precision::f64) const = 0;
+
+  // Back-propagates d(loss)/d(logits) through an f64 forward of this model
+  // (std::logic_error on any other cache), keeping grad temporaries in `bws`
+  // and accumulating parameter grads into `grads` (params() order) instead
+  // of Param::g. const, so rollout workers with distinct (fwd, bws, grads)
+  // triples run concurrently over one shared model.
+  virtual void backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                           const nn::Mat& grad_logits, TrainBackward& bws,
+                           nn::GradRefs grads) const = 0;
+
   virtual std::vector<nn::Param*> params() = 0;
   virtual int k_paths() const = 0;
 
-  // Workspace-based forward: re-runs the model into `fwd`, reusing its cache
-  // when this model produced it (TealModel makes repeated calls allocation-
-  // free). Must be safe to call concurrently with distinct `fwd` objects.
-  // Default falls back to the allocating forward_m.
-  virtual void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
-                          const std::vector<double>* capacities, ModelForward& fwd) const {
-    fwd = forward_m(pb, tm, capacities);
-  }
-
-  // Demand-sharded workspace forward: per-demand stages fan out over
-  // `shards`, writing disjoint rows of `fwd`. Results must be bit-identical
-  // for every shard plan. Default ignores the plan — the Figure 14 ablation
-  // variants have no per-demand decomposition to shard.
-  virtual void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
-                          const std::vector<double>* capacities, ModelForward& fwd,
-                          const ShardPlan& /*shards*/, ShardStat* /*stats*/ = nullptr) const {
-    forward_ws(pb, tm, capacities, fwd);
-  }
-
-  // Workspace training seam. supports_train_ws() gates the batched trainer
-  // pipeline: when true, backward_ws() must run the same arithmetic as
-  // backward_m() but (a) keep its grad temporaries in `bws` so warm steps
-  // allocate nothing, and (b) accumulate parameter grads into `grads`
-  // (params() order) instead of Param::g — const, so rollout workers with
-  // distinct (fwd, bws, grads) triples may run concurrently over one shared
-  // model. Models without the seam (the Figure 14 ablation variants) train
-  // through the sequential backward_m fallback path instead.
-  virtual bool supports_train_ws() const { return false; }
-  virtual void backward_ws(const te::Problem& /*pb*/, const ModelForward& /*fwd*/,
-                           const nn::Mat& /*grad_logits*/, TrainBackward& /*bws*/,
-                           nn::GradRefs /*grads*/) const {
-    throw std::logic_error(
-        "Model::backward_ws: this model has no workspace training path "
-        "(supports_train_ws() is false)");
-  }
-
-  // Narrowed f32 inference forward (the paper's fp32 deployment precision):
-  // runs the NN arithmetic in float through f32 weight snapshots, widening
-  // logits/mask back to double in `fwd` so everything downstream (masked
-  // softmax, ADMM) is unchanged. prepare_f32() snapshots the current
-  // parameters; it must run before the first f32 forward and after any
-  // further training (not thread-safe against concurrent forwards).
-  // Defaults: unsupported — forward_ws_f32 falls back to the f64 path, so
-  // the precision knob degrades gracefully for the ablation variants.
-  virtual bool supports_f32_forward() const { return false; }
-  virtual void prepare_f32() {}
-  virtual void forward_ws_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
-                              const std::vector<double>* capacities, ModelForward& fwd,
-                              const ShardPlan& shards, ShardStat* stats = nullptr) const {
-    forward_ws(pb, tm, capacities, fwd, shards, stats);
-  }
-
-  // bf16-storage inference forward: same seam as the f32 trio, but the layer
-  // weights are stored as bf16 panels (activations and every accumulation
-  // stay f32, so the cache is the same float workspace as the f32 path).
-  // Defaults mirror f32: unsupported, graceful f64 fallback.
-  virtual bool supports_bf16_forward() const { return false; }
-  virtual void prepare_bf16() {}
-  virtual void forward_ws_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                               const std::vector<double>* capacities, ModelForward& fwd,
-                               const ShardPlan& shards, ShardStat* stats = nullptr) const {
-    forward_ws(pb, tm, capacities, fwd, shards, stats);
-  }
+  // Narrowed forwards are opt-in: the default model runs f64 only.
+  virtual bool supports(te::Precision p) const { return p == te::Precision::f64; }
+  // Snapshots the current parameters for forward_ws at `p` (a no-op for
+  // f64). Must run before the first forward at `p` and after any further
+  // training; not thread-safe against concurrent forwards.
+  virtual void prepare(te::Precision p) { check_precision(p); }
 
   void save(const std::string& path) { nn::save_params(path, params()); }
   bool load(const std::string& path) { return nn::load_params(path, params()); }
+
+ protected:
+  void check_precision(te::Precision p) const {
+    if (!supports(p)) {
+      throw std::logic_error(std::string("Model: precision ") + te::precision_name(p) +
+                             " is not supported by this model");
+    }
+  }
 };
 
 struct TealModelConfig {
@@ -148,6 +147,10 @@ class TealModel : public Model {
     PolicyNet::ForwardF policy;
   };
 
+  // Typed reference API, outside the Model seam: an allocating forward and a
+  // backward that accumulates into Param::g. It is the oracle backward_ws is
+  // checked against (tests/train_test.cpp reference trainers, the gradient
+  // check in tests/core_model_test.cpp).
   Forward forward(const te::Problem& pb, const te::TrafficMatrix& tm,
                   const std::vector<double>* capacities = nullptr) const;
 
@@ -167,31 +170,18 @@ class TealModel : public Model {
   void forward(const te::Problem& pb, const te::TrafficMatrix& tm,
                const std::vector<double>* capacities, Forward& fwd) const;
 
-  // Model interface (type-erased wrappers over the typed forward/backward).
-  ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                         const std::vector<double>* capacities = nullptr) const override;
-  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
-                  const std::vector<double>* capacities, ModelForward& fwd) const override;
+  // Model interface. forward_ws dispatches on `precision` between the f64
+  // pipeline and the narrowed (f32/bf16) one.
   void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
                   const std::vector<double>* capacities, ModelForward& fwd,
-                  const ShardPlan& shards, ShardStat* stats = nullptr) const override;
-  bool supports_f32_forward() const override { return true; }
-  void prepare_f32() override;
-  void forward_ws_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
-                      const std::vector<double>* capacities, ModelForward& fwd,
-                      const ShardPlan& shards, ShardStat* stats = nullptr) const override;
-  bool supports_bf16_forward() const override { return true; }
-  void prepare_bf16() override;
-  void forward_ws_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                       const std::vector<double>* capacities, ModelForward& fwd,
-                       const ShardPlan& shards, ShardStat* stats = nullptr) const override;
-  void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                  const nn::Mat& grad_logits) override;
-  bool supports_train_ws() const override { return true; }
+                  const ShardPlan& shards, ShardStat* stats = nullptr,
+                  te::Precision precision = te::Precision::f64) const override;
   void backward_ws(const te::Problem& pb, const ModelForward& fwd,
                    const nn::Mat& grad_logits, TrainBackward& bws,
                    nn::GradRefs grads) const override;
   std::vector<nn::Param*> params() override;
+  bool supports(te::Precision) const override { return true; }
+  void prepare(te::Precision p) override;
 
   int k_paths() const override { return k_; }
   const TealModelConfig& config() const { return cfg_; }
@@ -205,9 +195,9 @@ class TealModel : public Model {
                     const std::vector<double>* capacities, Forward& fwd,
                     const ShardPlan& shards, ShardStat* stats = nullptr) const;
 
-  // Shared body of forward_ws_f32/forward_ws_bf16: identical float cache,
-  // fused per-demand tail and f64 widening; only the weight panels the GNN
-  // and policy read differ.
+  // The narrowed (f32/bf16) forward_ws: identical float cache, fused
+  // per-demand tail and f64 widening; only the weight panels the GNN and
+  // policy read differ.
   void forward_ws_narrowed(const te::Problem& pb, const te::TrafficMatrix& tm,
                            const std::vector<double>* capacities, ModelForward& fwd,
                            const ShardPlan& shards, ShardStat* stats, bool use_bf16) const;

@@ -34,8 +34,12 @@ std::uint64_t TealScheme::publish_model(std::unique_ptr<Model> m) {
   // precision knob are built on the new model while it is still private to
   // this call. Once published the model is immutable (replicas may be reading
   // it from any thread).
-  if (precision_ == te::Precision::f32 && m->supports_f32_forward()) m->prepare_f32();
-  if (precision_ == te::Precision::bf16 && m->supports_bf16_forward()) m->prepare_bf16();
+  if (!m->supports(precision_)) {
+    throw std::invalid_argument(std::string("TealScheme::publish_model: model does not support "
+                                            "the scheme's precision ") +
+                                te::precision_name(precision_));
+  }
+  m->prepare(precision_);
   return hub_.publish(std::shared_ptr<Model>(std::move(m)));
 }
 
@@ -59,20 +63,11 @@ void TealScheme::solve_with(SolveWorkspace& ws, const te::Problem& pb,
   ws.prepare_shards(plan);
   ShardStat* stats = ws.shard_stats.data();
   pb.capacities_into(ws.caps);
-  // Precision dispatch: the narrowed paths (f32 and bf16) run the NN forward
-  // through the float mirror workspace — bf16 only changes which weight
-  // panels the kernels read — and widen logits/mask back to double, so
+  // The narrowed precisions (f32 and bf16) run the NN forward through the
+  // float mirror workspace and widen logits/mask back to double, so
   // everything from the softmax down is precision-oblivious.
-  const bool f32 = precision_ == te::Precision::f32 && model.supports_f32_forward();
-  const bool bf16 = precision_ == te::Precision::bf16 && model.supports_bf16_forward();
-  ModelForward& fwd = (f32 || bf16) ? ws.fwd32 : ws.fwd;
-  if (bf16) {
-    model.forward_ws_bf16(pb, tm, &ws.caps, fwd, plan, stats);
-  } else if (f32) {
-    model.forward_ws_f32(pb, tm, &ws.caps, fwd, plan, stats);
-  } else {
-    model.forward_ws(pb, tm, &ws.caps, fwd, plan, stats);
-  }
+  ModelForward& fwd = precision_ == te::Precision::f64 ? ws.fwd : ws.fwd32;
+  model.forward_ws(pb, tm, &ws.caps, fwd, plan, stats, precision_);
   // Masked softmax + allocation writeback, fused per demand slice (sized on
   // this thread first — resize must not run under the fan-out). The mask
   // guard enforces the policy-boundary contract: a demand with paths but a

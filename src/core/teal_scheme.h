@@ -86,21 +86,17 @@ class TealScheme : public te::Scheme {
   // Snapshotting mutates the shared model, so set the precision before
   // replicas/batches start and re-set it after any further training
   // (tests/precision_test.cpp bounds the f32- and bf16-vs-f64 allocation
-  // error per topology). Narrowed support follows the wrapped model: the
-  // Figure 14 ablation variants have no narrowed forward, and claiming
-  // support while silently solving in f64 would corrupt any narrowed-vs-f64
-  // comparison run against them.
+  // error per topology). Support follows the wrapped model (Model::supports):
+  // the Figure 14 ablation variants are f64-only, and claiming support while
+  // silently solving in f64 would corrupt any narrowed-vs-f64 comparison
+  // run against them.
   bool supports_precision(te::Precision p) const override {
-    const ModelSnapshot snap = hub_.acquire();
-    if (p == te::Precision::f64) return true;
-    if (p == te::Precision::bf16) return snap.model->supports_bf16_forward();
-    return snap.model->supports_f32_forward();
+    return hub_.acquire().model->supports(p);
   }
   void set_precision(te::Precision p) override {
-    if (!supports_precision(p)) return;  // knob contract: unsupported = ignored
     const ModelSnapshot snap = hub_.acquire();
-    if (p == te::Precision::f32) snap.model->prepare_f32();
-    if (p == te::Precision::bf16) snap.model->prepare_bf16();
+    if (!snap.model->supports(p)) return;  // knob contract: unsupported = ignored
+    snap.model->prepare(p);
     precision_ = p;
   }
   te::Precision precision() const override { return precision_; }
@@ -109,12 +105,15 @@ class TealScheme : public te::Scheme {
   // current model and returns its version. Precision snapshots matching the
   // scheme's current knob are prepared on `m` *before* it becomes visible
   // (mutation-before-visibility), so replicas never observe a model whose
-  // narrowed mirrors are mid-construction. Solves already running keep their
-  // pinned snapshot and finish bit-identically on the old version; solves
-  // that start after this call use `m`. Safe to call from a trainer thread
-  // while replicas solve concurrently. Workspace forward caches re-key off
-  // ModelForward::owner, so the first post-swap solve per workspace
-  // reallocates its cache (monotonic arena growth — see DESIGN.md).
+  // narrowed mirrors are mid-construction. A model that does not support
+  // the current precision is rejected with std::invalid_argument before it
+  // becomes visible — model_version() and the serving model stay unchanged.
+  // Solves already running keep their pinned snapshot and finish
+  // bit-identically on the old version; solves that start after this call
+  // use `m`. Safe to call from a trainer thread while replicas solve
+  // concurrently. Workspace forward caches re-key off ModelForward::owner,
+  // so the first post-swap solve per workspace reallocates its cache
+  // (monotonic arena growth — see DESIGN.md).
   std::uint64_t publish_model(std::unique_ptr<Model> m);
   std::uint64_t model_version() const { return hub_.version(); }
 

@@ -2,8 +2,7 @@
 
 namespace teal::core {
 
-void TrainContext::prepare(Model& model, const te::Problem& /*pb*/, int rollout_batch,
-                           int workers) {
+void TrainContext::prepare(Model& model, int rollout_batch, int workers) {
   // Re-prepare (a topology or batch-shape swap) first destroys every
   // container holding arena memory, then rewinds the arenas while retaining
   // their chunks — the rebuild below re-bumps out of already-mapped memory,
@@ -18,18 +17,11 @@ void TrainContext::prepare(Model& model, const te::Problem& /*pb*/, int rollout_
   for (auto& a : chunk_arenas_) a.reset();
   arena_.reset();
 
-  ws_path_ = model.supports_train_ws();
   rollout_batch_ = std::max(1, rollout_batch);
-  int w = workers;
-  if (!ws_path_) {
-    // backward_m accumulates into the shared Param::g — concurrent rollouts
-    // would race, so the legacy path is sequential by construction.
-    w = 1;
-  } else if (w == 0) {
-    // Auto: the threads a new fork-join region from this thread can use,
-    // never more than there are rollouts to run.
-    w = static_cast<int>(util::ThreadPool::available_parallelism());
-  }
+  // Auto (0): the threads a new fork-join region from this thread can use,
+  // never more than there are rollouts to run.
+  const int w =
+      workers == 0 ? static_cast<int>(util::ThreadPool::available_parallelism()) : workers;
   workers_ = std::clamp(w, 1, rollout_batch_);
   const util::ChunkPlan plan =
       util::chunk_plan(static_cast<std::size_t>(rollout_batch_),
@@ -44,9 +36,7 @@ void TrainContext::prepare(Model& model, const te::Problem& /*pb*/, int rollout_
   // scratch array — bump-allocates from the context's root arena.
   util::ArenaScope bind(&arena_);
   slots_.resize(static_cast<std::size_t>(rollout_batch_));
-  if (ws_path_) {
-    for (auto& s : slots_) s.grads.prepare(params_);
-  }
+  for (auto& s : slots_) s.grads.prepare(params_);
   bws_.resize(n_chunks);
 }
 

@@ -20,10 +20,9 @@
 // Worker knob semantics match the shard knob: 0 = auto (threads available
 // to the calling context, capped by the batch size), 1 = sequential, n = at
 // most n concurrent rollout chunks. A pure throughput knob — results never
-// change. Models without the workspace training seam
-// (Model::supports_train_ws() == false, the Figure 14 ablation variants)
-// force workers = 1 because their backward_m accumulates into the shared
-// Param::g directly.
+// change. It holds for every model: Model::backward_ws writes only the
+// slot's own accumulator, so Teal and the Figure 14 ablation variants fan
+// out alike.
 //
 // Memory model (DESIGN.md "Memory model"): the context owns its arenas.
 // prepare() binds a root arena on the calling thread, so the slot array,
@@ -54,12 +53,8 @@ class TrainContext {
  public:
   // Resolves the parallelism plan and sizes the per-slot/per-worker state.
   // Called once per training run (allocating); everything after is reused.
-  void prepare(Model& model, const te::Problem& pb, int rollout_batch, int workers);
+  void prepare(Model& model, int rollout_batch, int workers);
 
-  // True when the model supports the workspace training path (per-slot
-  // gradient accumulators + backward_ws). False = legacy sequential path
-  // through backward_m.
-  bool ws_path() const { return ws_path_; }
   int rollout_batch() const { return rollout_batch_; }
   int workers() const { return workers_; }
   std::vector<nn::Param*>& params() { return params_; }
@@ -134,7 +129,6 @@ class TrainContext {
   }
 
  private:
-  bool ws_path_ = false;
   int rollout_batch_ = 1;
   int workers_ = 1;
   int chunk_ = 1;  // slots per chunk, fixed from the full batch

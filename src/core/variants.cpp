@@ -2,20 +2,22 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace teal::core {
 
 namespace {
 
-// Shared helper: builds the (D, k) validity mask.
-nn::Mat path_mask(const te::Problem& pb, int k) {
-  nn::Mat mask(pb.num_demands(), k);
+// Shared helper: writes the (D, k) validity mask.
+void fill_path_mask(const te::Problem& pb, int k, nn::Mat& mask) {
+  mask.resize(pb.num_demands(), k);
+  mask.zero();
   for (int d = 0; d < pb.num_demands(); ++d) {
     for (int slot = 0; slot < pb.num_paths(d) && slot < k; ++slot) {
       mask.at(d, slot) = 1.0;
     }
   }
-  return mask;
 }
 
 double mean_capacity(const te::Problem& pb, const std::vector<double>* caps) {
@@ -23,6 +25,12 @@ double mean_capacity(const te::Problem& pb, const std::vector<double>* caps) {
   double m = 1e-9;
   for (double v : c) m += v;
   return m / std::max<std::size_t>(1, c.size());
+}
+
+void check_grads(nn::GradRefs grads, std::size_t n_params, const char* who) {
+  if (grads.size() != n_params) {
+    throw std::invalid_argument(std::string(who) + ": grads size mismatch");
+  }
 }
 
 }  // namespace
@@ -34,10 +42,13 @@ struct NaiveDnnModel::Cache {
   std::vector<nn::Mat> pre, act; // per layer
 };
 
+struct NaiveDnnModel::Scratch {
+  nn::Mat g_cur, g_in;  // running output / input grads
+};
+
 NaiveDnnModel::NaiveDnnModel(const NaiveDnnConfig& cfg, const te::Problem& pb,
                              std::uint64_t seed)
-    : cfg_(cfg), k_(pb.k_paths()), n_demands_(pb.num_demands()),
-      volume_scale_(mean_capacity(pb, nullptr)) {
+    : cfg_(cfg), k_(pb.k_paths()), n_demands_(pb.num_demands()) {
   util::Rng rng(seed);
   int in = n_demands_;
   for (int l = 0; l < cfg.n_layers - 1; ++l) {
@@ -47,55 +58,53 @@ NaiveDnnModel::NaiveDnnModel(const NaiveDnnConfig& cfg, const te::Problem& pb,
   layers_.emplace_back(in, n_demands_ * k_, rng);
 }
 
-ModelForward NaiveDnnModel::forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                      const std::vector<double>* capacities) const {
+void NaiveDnnModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                               const std::vector<double>* capacities, ModelForward& out,
+                               const ShardPlan& /*shards*/, ShardStat* /*stats*/,
+                               te::Precision precision) const {
+  check_precision(precision);
   if (pb.num_demands() != n_demands_) {
     throw std::invalid_argument("NaiveDnnModel: problem mismatch");
   }
-  auto cache = std::make_shared<Cache>();
-  cache->input = nn::Mat(1, n_demands_);
+  Cache& cache = claim_cache<Cache>(out, this);
+  cache.input.resize(1, n_demands_);
   const double scale = mean_capacity(pb, capacities);
   for (int d = 0; d < n_demands_; ++d) {
-    cache->input.at(0, d) = tm.volume[static_cast<std::size_t>(d)] / scale;
+    cache.input.at(0, d) = tm.volume[static_cast<std::size_t>(d)] / scale;
   }
-  const nn::Mat* cur = &cache->input;
-  cache->pre.resize(layers_.size());
-  cache->act.resize(layers_.size());
+  const nn::Mat* cur = &cache.input;
+  cache.pre.resize(layers_.size());
+  cache.act.resize(layers_.size());
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    layers_[l].forward(*cur, cache->pre[l]);
+    layers_[l].forward(*cur, cache.pre[l]);
     if (l + 1 < layers_.size()) {
-      nn::leaky_relu_forward(cache->pre[l], cache->act[l], cfg_.leaky_alpha);
-      cur = &cache->act[l];
+      nn::leaky_relu_forward(cache.pre[l], cache.act[l], cfg_.leaky_alpha);
+      cur = &cache.act[l];
     }
   }
-  ModelForward out;
-  out.mask = path_mask(pb, k_);
-  out.logits = nn::Mat(n_demands_, k_);
-  const nn::Mat& flat = cache->pre.back();  // (1, D*k)
+  fill_path_mask(pb, k_, out.mask);
+  out.logits.resize(n_demands_, k_);
+  const nn::Mat& flat = cache.pre.back();  // (1, D*k)
   for (int d = 0; d < n_demands_; ++d) {
     for (int c = 0; c < k_; ++c) out.logits.at(d, c) = flat.at(0, d * k_ + c);
   }
-  out.cache = std::move(cache);
-  return out;
 }
 
-void NaiveDnnModel::backward_m(const te::Problem& pb, const ModelForward& fwd,
-                               const nn::Mat& grad_logits) {
-  (void)pb;
-  const auto& cache = *std::static_pointer_cast<Cache>(fwd.cache);
-  nn::Mat g_flat(1, n_demands_ * k_);
+void NaiveDnnModel::backward_ws(const te::Problem& /*pb*/, const ModelForward& fwd,
+                                const nn::Mat& grad_logits, TrainBackward& bws,
+                                nn::GradRefs grads) const {
+  const Cache& cache = owned_cache<Cache>(fwd, this, "NaiveDnnModel::backward_ws");
+  check_grads(grads, 2 * layers_.size(), "NaiveDnnModel::backward_ws");
+  Scratch& s = claim_cache<Scratch>(bws, this);
+  s.g_cur.resize(1, n_demands_ * k_);
   for (int d = 0; d < n_demands_; ++d) {
-    for (int c = 0; c < k_; ++c) g_flat.at(0, d * k_ + c) = grad_logits.at(d, c);
+    for (int c = 0; c < k_; ++c) s.g_cur.at(0, d * k_ + c) = grad_logits.at(d, c);
   }
-  nn::Mat g_cur = std::move(g_flat);
   for (int l = static_cast<int>(layers_.size()) - 1; l >= 0; --l) {
-    const nn::Mat* input = l == 0 ? &cache.input : &cache.act[static_cast<std::size_t>(l) - 1];
-    nn::Mat g_in;
-    layers_[static_cast<std::size_t>(l)].backward(*input, g_cur, g_in);
-    if (l > 0) {
-      nn::leaky_relu_backward(cache.pre[static_cast<std::size_t>(l) - 1], g_in, g_cur,
-                              cfg_.leaky_alpha);
-    }
+    const auto ls = static_cast<std::size_t>(l);
+    const nn::Mat* input = l == 0 ? &cache.input : &cache.act[ls - 1];
+    layers_[ls].backward_acc(*input, s.g_cur, s.g_in, *grads[2 * ls], *grads[2 * ls + 1]);
+    if (l > 0) nn::leaky_relu_backward(cache.pre[ls - 1], s.g_in, s.g_cur, cfg_.leaky_alpha);
   }
 }
 
@@ -116,6 +125,12 @@ struct NaiveGnnModel::Cache {
   nn::Mat pol_in, pol_pre, pol_act;    // policy head
 };
 
+struct NaiveGnnModel::Scratch {
+  nn::Mat g_pol_act, g_pol_pre, g_pol_in;  // policy head
+  nn::Mat g_nodes, g_prev, g_pre, g_cat;   // message-passing layers
+  nn::Mat g_proj_pre, g_feat;              // input projection
+};
+
 NaiveGnnModel::NaiveGnnModel(const NaiveGnnConfig& cfg, const te::Problem& pb,
                              std::uint64_t seed)
     : cfg_(cfg), k_(pb.k_paths()) {
@@ -128,38 +143,43 @@ NaiveGnnModel::NaiveGnnModel(const NaiveGnnConfig& cfg, const te::Problem& pb,
   policy_out_ = nn::Linear(cfg.policy_hidden, k_, rng);
 }
 
-ModelForward NaiveGnnModel::forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                      const std::vector<double>* capacities) const {
+void NaiveGnnModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                               const std::vector<double>* capacities, ModelForward& out,
+                               const ShardPlan& /*shards*/, ShardStat* /*stats*/,
+                               te::Precision precision) const {
+  check_precision(precision);
   const int n = pb.graph().num_nodes();
   const int nd = pb.num_demands();
-  auto cache = std::make_shared<Cache>();
+  Cache& cache = claim_cache<Cache>(out, this);
   const double scale = mean_capacity(pb, capacities);
-  std::vector<double> caps = capacities ? *capacities : pb.capacities();
+  const std::vector<double> caps = capacities ? *capacities : pb.capacities();
 
-  cache->feat = nn::Mat(n, 3);
+  cache.feat.resize(n, 3);
+  cache.feat.zero();
   for (int d = 0; d < nd; ++d) {
     double v = tm.volume[static_cast<std::size_t>(d)] / scale;
-    cache->feat.at(pb.demand(d).src, 0) += v;
-    cache->feat.at(pb.demand(d).dst, 1) += v;
+    cache.feat.at(pb.demand(d).src, 0) += v;
+    cache.feat.at(pb.demand(d).dst, 1) += v;
   }
   for (topo::EdgeId e = 0; e < pb.graph().num_edges(); ++e) {
-    cache->feat.at(pb.graph().edge(e).src, 2) += caps[static_cast<std::size_t>(e)] / scale;
+    cache.feat.at(pb.graph().edge(e).src, 2) += caps[static_cast<std::size_t>(e)] / scale;
   }
 
-  input_proj_.forward(cache->feat, cache->proj_pre);
-  nn::leaky_relu_forward(cache->proj_pre, cache->proj_act, cfg_.leaky_alpha);
+  input_proj_.forward(cache.feat, cache.proj_pre);
+  nn::leaky_relu_forward(cache.proj_pre, cache.proj_act, cfg_.leaky_alpha);
 
-  cache->cat.resize(layers_.size());
-  cache->pre.resize(layers_.size());
-  cache->act.resize(layers_.size());
-  const nn::Mat* cur = &cache->proj_act;
+  cache.cat.resize(layers_.size());
+  cache.pre.resize(layers_.size());
+  cache.act.resize(layers_.size());
+  const nn::Mat* cur = &cache.proj_act;
   const int dim = cfg_.embed_dim;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     // [self | mean over out-neighbors]
-    cache->cat[l] = nn::Mat(n, 2 * dim);
+    cache.cat[l].resize(n, 2 * dim);
+    cache.cat[l].zero();
     for (int v = 0; v < n; ++v) {
       const double* self = cur->row_ptr(v);
-      double* row = cache->cat[l].row_ptr(v);
+      double* row = cache.cat[l].row_ptr(v);
       std::copy(self, self + dim, row);
       const auto& outs = pb.graph().out_edges(v);
       if (!outs.empty()) {
@@ -170,48 +190,52 @@ ModelForward NaiveGnnModel::forward_m(const te::Problem& pb, const te::TrafficMa
         for (int c = 0; c < dim; ++c) row[dim + c] /= static_cast<double>(outs.size());
       }
     }
-    layers_[l].forward(cache->cat[l], cache->pre[l]);
-    nn::leaky_relu_forward(cache->pre[l], cache->act[l], cfg_.leaky_alpha);
-    cur = &cache->act[l];
+    layers_[l].forward(cache.cat[l], cache.pre[l]);
+    nn::leaky_relu_forward(cache.pre[l], cache.act[l], cfg_.leaky_alpha);
+    cur = &cache.act[l];
   }
 
   // Policy head: [src emb | dst emb | volume] per demand.
-  cache->pol_in = nn::Mat(nd, 2 * dim + 1);
+  cache.pol_in.resize(nd, 2 * dim + 1);
   for (int d = 0; d < nd; ++d) {
-    double* row = cache->pol_in.row_ptr(d);
+    double* row = cache.pol_in.row_ptr(d);
     const double* se = cur->row_ptr(pb.demand(d).src);
     const double* de = cur->row_ptr(pb.demand(d).dst);
     std::copy(se, se + dim, row);
     std::copy(de, de + dim, row + dim);
     row[2 * dim] = tm.volume[static_cast<std::size_t>(d)] / scale;
   }
-  policy_hidden_.forward(cache->pol_in, cache->pol_pre);
-  nn::leaky_relu_forward(cache->pol_pre, cache->pol_act, cfg_.leaky_alpha);
-  ModelForward out;
-  policy_out_.forward(cache->pol_act, out.logits);
-  out.mask = path_mask(pb, k_);
-  out.cache = std::move(cache);
-  return out;
+  policy_hidden_.forward(cache.pol_in, cache.pol_pre);
+  nn::leaky_relu_forward(cache.pol_pre, cache.pol_act, cfg_.leaky_alpha);
+  policy_out_.forward(cache.pol_act, out.logits);
+  fill_path_mask(pb, k_, out.mask);
 }
 
-void NaiveGnnModel::backward_m(const te::Problem& pb, const ModelForward& fwd,
-                               const nn::Mat& grad_logits) {
-  const auto& cache = *std::static_pointer_cast<Cache>(fwd.cache);
+void NaiveGnnModel::backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                                const nn::Mat& grad_logits, TrainBackward& bws,
+                                nn::GradRefs grads) const {
+  const Cache& cache = owned_cache<Cache>(fwd, this, "NaiveGnnModel::backward_ws");
+  // params() order: input_proj_, layers_..., policy_hidden_, policy_out_.
+  const std::size_t head = 2 + 2 * layers_.size();
+  check_grads(grads, head + 4, "NaiveGnnModel::backward_ws");
+  Scratch& s = claim_cache<Scratch>(bws, this);
   const int n = pb.graph().num_nodes();
   const int nd = pb.num_demands();
   const int dim = cfg_.embed_dim;
 
-  nn::Mat g_pol_act, g_pol_pre, g_pol_in;
-  policy_out_.backward(cache.pol_act, grad_logits, g_pol_act);
-  nn::leaky_relu_backward(cache.pol_pre, g_pol_act, g_pol_pre, cfg_.leaky_alpha);
-  policy_hidden_.backward(cache.pol_in, g_pol_pre, g_pol_in);
+  policy_out_.backward_acc(cache.pol_act, grad_logits, s.g_pol_act, *grads[head + 2],
+                           *grads[head + 3]);
+  nn::leaky_relu_backward(cache.pol_pre, s.g_pol_act, s.g_pol_pre, cfg_.leaky_alpha);
+  policy_hidden_.backward_acc(cache.pol_in, s.g_pol_pre, s.g_pol_in, *grads[head],
+                              *grads[head + 1]);
 
   // Scatter policy-input grads back to node embeddings (last MP layer output).
-  nn::Mat g_nodes(n, dim);
+  s.g_nodes.resize(n, dim);
+  s.g_nodes.zero();
   for (int d = 0; d < nd; ++d) {
-    const double* row = g_pol_in.row_ptr(d);
-    double* gs = g_nodes.row_ptr(pb.demand(d).src);
-    double* gd = g_nodes.row_ptr(pb.demand(d).dst);
+    const double* row = s.g_pol_in.row_ptr(d);
+    double* gs = s.g_nodes.row_ptr(pb.demand(d).src);
+    double* gd = s.g_nodes.row_ptr(pb.demand(d).dst);
     for (int c = 0; c < dim; ++c) {
       gs[c] += row[c];
       gd[c] += row[dim + c];
@@ -220,30 +244,30 @@ void NaiveGnnModel::backward_m(const te::Problem& pb, const ModelForward& fwd,
 
   for (int l = static_cast<int>(layers_.size()) - 1; l >= 0; --l) {
     auto ls = static_cast<std::size_t>(l);
-    nn::Mat g_pre, g_cat;
-    nn::leaky_relu_backward(cache.pre[ls], g_nodes, g_pre, cfg_.leaky_alpha);
-    layers_[ls].backward(cache.cat[ls], g_pre, g_cat);
+    nn::leaky_relu_backward(cache.pre[ls], s.g_nodes, s.g_pre, cfg_.leaky_alpha);
+    layers_[ls].backward_acc(cache.cat[ls], s.g_pre, s.g_cat, *grads[2 + 2 * ls],
+                             *grads[3 + 2 * ls]);
     // Split concat grads and undo the mean aggregation.
-    nn::Mat g_prev(n, dim);
+    s.g_prev.resize(n, dim);
+    s.g_prev.zero();
     for (int v = 0; v < n; ++v) {
-      const double* row = g_cat.row_ptr(v);
-      double* gp = g_prev.row_ptr(v);
+      const double* row = s.g_cat.row_ptr(v);
+      double* gp = s.g_prev.row_ptr(v);
       for (int c = 0; c < dim; ++c) gp[c] += row[c];
       const auto& outs = pb.graph().out_edges(v);
       if (!outs.empty()) {
         double inv = 1.0 / static_cast<double>(outs.size());
         for (topo::EdgeId e : outs) {
-          double* gn = g_prev.row_ptr(pb.graph().edge(e).dst);
+          double* gn = s.g_prev.row_ptr(pb.graph().edge(e).dst);
           for (int c = 0; c < dim; ++c) gn[c] += row[dim + c] * inv;
         }
       }
     }
-    g_nodes = std::move(g_prev);
+    std::swap(s.g_nodes, s.g_prev);
   }
 
-  nn::Mat g_proj_pre, g_feat;
-  nn::leaky_relu_backward(cache.proj_pre, g_nodes, g_proj_pre, cfg_.leaky_alpha);
-  input_proj_.backward(cache.feat, g_proj_pre, g_feat);
+  nn::leaky_relu_backward(cache.proj_pre, s.g_nodes, s.g_proj_pre, cfg_.leaky_alpha);
+  input_proj_.backward_acc(cache.feat, s.g_proj_pre, s.g_feat, *grads[0], *grads[1]);
 }
 
 std::vector<nn::Param*> NaiveGnnModel::params() {
@@ -263,6 +287,12 @@ struct GlobalPolicyModel::Cache {
   FlowGnn::Forward gnn;
   nn::Mat flat;                 // (1, P*dim)
   nn::Mat pre, act, out_pre;    // giant layers
+};
+
+struct GlobalPolicyModel::Scratch {
+  FlowGnn::BackwardWs gnn;
+  nn::Mat g_out, g_act, g_pre, g_flat;  // giant layers
+  nn::Mat g_paths;                      // (P, dim) d(loss)/d(final path embeddings)
 };
 
 GlobalPolicyModel::GlobalPolicyModel(const GlobalPolicyConfig& cfg, const te::Problem& pb,
@@ -285,58 +315,64 @@ GlobalPolicyModel::GlobalPolicyModel(const GlobalPolicyConfig& cfg, const te::Pr
   giant_out_ = nn::Linear(cfg.hidden_dim, total_paths_, rng);
 }
 
-ModelForward GlobalPolicyModel::forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                                          const std::vector<double>* capacities) const {
+void GlobalPolicyModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                                   const std::vector<double>* capacities, ModelForward& out,
+                                   const ShardPlan& shards, ShardStat* stats,
+                                   te::Precision precision) const {
+  check_precision(precision);
   if (pb.total_paths() != total_paths_) {
     throw std::invalid_argument("GlobalPolicyModel: problem mismatch");
   }
-  auto cache = std::make_shared<Cache>();
-  cache->gnn = gnn_.forward(pb, tm, capacities);
+  Cache& cache = claim_cache<Cache>(out, this);
+  gnn_.forward(pb, tm, capacities, cache.gnn, shards, stats);
   const int dim = effective_final_dim(cfg_.gnn);
-  cache->flat = nn::Mat(1, total_paths_ * dim);
+  cache.flat.resize(1, total_paths_ * dim);
   for (int p = 0; p < total_paths_; ++p) {
-    const double* row = cache->gnn.final_paths.row_ptr(p);
-    std::copy(row, row + dim, cache->flat.row_ptr(0) + p * dim);
+    const double* row = cache.gnn.final_paths.row_ptr(p);
+    std::copy(row, row + dim, cache.flat.row_ptr(0) + p * dim);
   }
-  giant_in_.forward(cache->flat, cache->pre);
-  nn::leaky_relu_forward(cache->pre, cache->act, cfg_.leaky_alpha);
-  giant_out_.forward(cache->act, cache->out_pre);  // (1, P)
+  giant_in_.forward(cache.flat, cache.pre);
+  nn::leaky_relu_forward(cache.pre, cache.act, cfg_.leaky_alpha);
+  giant_out_.forward(cache.act, cache.out_pre);  // (1, P)
 
-  ModelForward out;
-  out.mask = path_mask(pb, k_);
-  out.logits = nn::Mat(pb.num_demands(), k_);
+  fill_path_mask(pb, k_, out.mask);
+  out.logits.resize(pb.num_demands(), k_);
+  out.logits.zero();
   for (int d = 0; d < pb.num_demands(); ++d) {
     int slot = 0;
     for (int p = pb.path_begin(d); p < pb.path_end(d) && slot < k_; ++p, ++slot) {
-      out.logits.at(d, slot) = cache->out_pre.at(0, p);
+      out.logits.at(d, slot) = cache.out_pre.at(0, p);
     }
   }
-  out.cache = std::move(cache);
-  return out;
 }
 
-void GlobalPolicyModel::backward_m(const te::Problem& pb, const ModelForward& fwd,
-                                   const nn::Mat& grad_logits) {
-  const auto& cache = *std::static_pointer_cast<Cache>(fwd.cache);
-  nn::Mat g_out(1, total_paths_);
+void GlobalPolicyModel::backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                                    const nn::Mat& grad_logits, TrainBackward& bws,
+                                    nn::GradRefs grads) const {
+  const Cache& cache = owned_cache<Cache>(fwd, this, "GlobalPolicyModel::backward_ws");
+  // params() order: the FlowGNN's, then giant_in_, then giant_out_.
+  const std::size_t ng = gnn_.num_params();
+  check_grads(grads, ng + 4, "GlobalPolicyModel::backward_ws");
+  Scratch& s = claim_cache<Scratch>(bws, this);
+  s.g_out.resize(1, total_paths_);
+  s.g_out.zero();
   for (int d = 0; d < pb.num_demands(); ++d) {
     int slot = 0;
     for (int p = pb.path_begin(d); p < pb.path_end(d) && slot < k_; ++p, ++slot) {
-      g_out.at(0, p) = grad_logits.at(d, slot);
+      s.g_out.at(0, p) = grad_logits.at(d, slot);
     }
   }
-  nn::Mat g_act, g_pre, g_flat;
-  giant_out_.backward(cache.act, g_out, g_act);
-  nn::leaky_relu_backward(cache.pre, g_act, g_pre, cfg_.leaky_alpha);
-  giant_in_.backward(cache.flat, g_pre, g_flat);
+  giant_out_.backward_acc(cache.act, s.g_out, s.g_act, *grads[ng + 2], *grads[ng + 3]);
+  nn::leaky_relu_backward(cache.pre, s.g_act, s.g_pre, cfg_.leaky_alpha);
+  giant_in_.backward_acc(cache.flat, s.g_pre, s.g_flat, *grads[ng], *grads[ng + 1]);
 
   const int dim = effective_final_dim(cfg_.gnn);
-  nn::Mat g_paths(total_paths_, dim);
+  s.g_paths.resize(total_paths_, dim);
   for (int p = 0; p < total_paths_; ++p) {
-    const double* src = g_flat.row_ptr(0) + p * dim;
-    std::copy(src, src + dim, g_paths.row_ptr(p));
+    const double* src = s.g_flat.row_ptr(0) + p * dim;
+    std::copy(src, src + dim, s.g_paths.row_ptr(p));
   }
-  gnn_.backward(pb, cache.gnn, g_paths);
+  gnn_.backward_ws(pb, cache.gnn, s.g_paths, s.gnn, grads.subspan(0, ng));
 }
 
 std::vector<nn::Param*> GlobalPolicyModel::params() {

@@ -1,7 +1,8 @@
 // variants.h — the Figure 14 ablation models (§5.7).
 //
 // Each variant replaces exactly one of Teal's design decisions and plugs into
-// the same trainers and TealScheme wrapper via the Model interface:
+// the same trainers and TealScheme wrapper via the Model seam (f64 only; the
+// workspace backward makes them train on every rollout worker like Teal):
 //
 //  * NaiveDnnModel  ("Teal w/ naive DNN")   — a fully-connected network that
 //    maps the raw traffic matrix straight to all split logits, ignoring WAN
@@ -34,18 +35,21 @@ class NaiveDnnModel : public Model {
   // model is inherently tied to one topology and demand set.
   NaiveDnnModel(const NaiveDnnConfig& cfg, const te::Problem& pb, std::uint64_t seed = 42);
 
-  ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                         const std::vector<double>* capacities = nullptr) const override;
-  void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                  const nn::Mat& grad_logits) override;
+  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                  const std::vector<double>* capacities, ModelForward& fwd,
+                  const ShardPlan& shards, ShardStat* stats = nullptr,
+                  te::Precision precision = te::Precision::f64) const override;
+  void backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                   const nn::Mat& grad_logits, TrainBackward& bws,
+                   nn::GradRefs grads) const override;
   std::vector<nn::Param*> params() override;
   int k_paths() const override { return k_; }
 
  private:
-  struct Cache;
+  struct Cache;    // forward activations (ModelForward::cache)
+  struct Scratch;  // backward grad temporaries (TrainBackward::cache)
   NaiveDnnConfig cfg_;
   int k_, n_demands_;
-  double volume_scale_;
   std::vector<nn::Linear> layers_;
 };
 
@@ -60,15 +64,19 @@ class NaiveGnnModel : public Model {
  public:
   NaiveGnnModel(const NaiveGnnConfig& cfg, const te::Problem& pb, std::uint64_t seed = 42);
 
-  ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                         const std::vector<double>* capacities = nullptr) const override;
-  void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                  const nn::Mat& grad_logits) override;
+  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                  const std::vector<double>* capacities, ModelForward& fwd,
+                  const ShardPlan& shards, ShardStat* stats = nullptr,
+                  te::Precision precision = te::Precision::f64) const override;
+  void backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                   const nn::Mat& grad_logits, TrainBackward& bws,
+                   nn::GradRefs grads) const override;
   std::vector<nn::Param*> params() override;
   int k_paths() const override { return k_; }
 
  private:
-  struct Cache;
+  struct Cache;    // forward activations (ModelForward::cache)
+  struct Scratch;  // backward grad temporaries (TrainBackward::cache)
   NaiveGnnConfig cfg_;
   int k_;
   // Node features: [out-demand, in-demand, sum adjacent capacity] -> embed.
@@ -92,15 +100,19 @@ class GlobalPolicyModel : public Model {
   GlobalPolicyModel(const GlobalPolicyConfig& cfg, const te::Problem& pb,
                     std::uint64_t seed = 42);
 
-  ModelForward forward_m(const te::Problem& pb, const te::TrafficMatrix& tm,
-                         const std::vector<double>* capacities = nullptr) const override;
-  void backward_m(const te::Problem& pb, const ModelForward& fwd,
-                  const nn::Mat& grad_logits) override;
+  void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
+                  const std::vector<double>* capacities, ModelForward& fwd,
+                  const ShardPlan& shards, ShardStat* stats = nullptr,
+                  te::Precision precision = te::Precision::f64) const override;
+  void backward_ws(const te::Problem& pb, const ModelForward& fwd,
+                   const nn::Mat& grad_logits, TrainBackward& bws,
+                   nn::GradRefs grads) const override;
   std::vector<nn::Param*> params() override;
   int k_paths() const override { return k_; }
 
  private:
-  struct Cache;
+  struct Cache;    // forward activations (ModelForward::cache)
+  struct Scratch;  // backward grad temporaries (TrainBackward::cache)
   GlobalPolicyConfig cfg_;
   int k_, total_paths_;
   FlowGnn gnn_;

@@ -213,9 +213,9 @@ class ZeroMaskModel : public core::TealModel {
   using core::TealModel::TealModel;
   void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
                   const std::vector<double>* capacities, core::ModelForward& fwd,
-                  const core::ShardPlan& shards,
-                  core::ShardStat* stats) const override {
-    core::TealModel::forward_ws(pb, tm, capacities, fwd, shards, stats);
+                  const core::ShardPlan& shards, core::ShardStat* stats,
+                  te::Precision precision) const override {
+    core::TealModel::forward_ws(pb, tm, capacities, fwd, shards, stats, precision);
     for (int c = 0; c < fwd.mask.cols(); ++c) fwd.mask.at(0, c) = 0.0;
   }
 };

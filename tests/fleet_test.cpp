@@ -19,6 +19,7 @@
 
 #include "core/snapshot.h"
 #include "core/teal_scheme.h"
+#include "core/variants.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/wire.h"
@@ -185,6 +186,26 @@ TEST(HotSwap, RepublishingIdenticalWeightsIsBitIdentical) {
   EXPECT_EQ(scheme.publish_model(make_model(s.pb, 42)), 3u);
   const auto restored = scheme.solve(s.pb, s.trace.at(0));
   expect_bit_identical(baseline, restored);
+}
+
+// Publishing a model that cannot run the scheme's precision (a Figure 14
+// ablation variant is f64-only) is refused before the model becomes visible.
+// Accepting it would leave precision() reporting f32 while every solve
+// silently ran f64.
+TEST(HotSwap, PublishRejectsModelWithoutTheSchemesPrecision) {
+  auto s = test::net_setup("B4", 40, 1);
+  auto scheme = make_teal(s.pb);
+  scheme.set_precision(te::Precision::f32);
+  ASSERT_EQ(scheme.precision(), te::Precision::f32);
+  const auto before = scheme.solve(s.pb, s.trace.at(0));
+
+  EXPECT_THROW(scheme.publish_model(
+                   std::make_unique<core::NaiveDnnModel>(core::NaiveDnnConfig{}, s.pb)),
+               std::invalid_argument);
+  EXPECT_EQ(scheme.model_version(), 1u);
+  EXPECT_EQ(scheme.precision(), te::Precision::f32);
+  EXPECT_TRUE(scheme.supports_precision(te::Precision::f32));
+  expect_bit_identical(before, scheme.solve(s.pb, s.trace.at(0)));
 }
 
 // The hot-swap atomicity hammer (and the TSan target): solver threads hammer

@@ -1,7 +1,10 @@
-// Golden digests of the f64 Teal solve. Each case hashes (FNV-1a over the
-// raw split bytes) the allocations an untrained TealModel (seed 42) produces
-// through TealScheme::solve_into at fixed instance seeds. A refactor of the
-// solve path must leave every digest unchanged; an intentional numeric
+// Golden digests of the f64 Teal solve and of training. Each solve case
+// hashes (FNV-1a over the raw split bytes) the allocations an untrained
+// TealModel (seed 42) produces through TealScheme::solve_into at fixed
+// instance seeds. Each training case hashes the parameters one trainer epoch
+// leaves behind (plus the epoch's reported reward/validation scores), for
+// TealModel and every Figure 14 ablation variant. A refactor of the solve or
+// training path must leave every digest unchanged; an intentional numeric
 // change updates the digest together with a CHANGES.md line saying why.
 //
 // The digests pin bits, so they also pin the toolchain: they were computed
@@ -18,6 +21,7 @@
 #include <string>
 
 #include "core/teal_scheme.h"
+#include "core/variants.h"
 #include "scenario/generators.h"
 #include "topo/topology.h"
 #include "traffic/traffic.h"
@@ -83,6 +87,106 @@ TEST(Golden, F64SolveDigestsAreUnchanged) {
   };
   for (const auto& c : cases) {
     const std::uint64_t h = solve_digest(c, 2);
+    EXPECT_EQ(h, c.digest) << c.name << ": observed digest 0x" << std::hex << h;
+  }
+}
+
+// One-epoch training digests on B4 at rollout_batch = 1 and workers = 1 (the
+// trainer defaults the Figure 14 bench trains with). The digest covers every
+// trained parameter byte plus the epoch statistics, so it pins the forward,
+// the backward, the optimizer and evaluate_model (the COMA* cases validate).
+struct TrainInstance {
+  te::Problem pb;
+  traffic::Trace train, validation;
+};
+
+TrainInstance train_instance() {
+  auto g = topo::make_topology("B4");
+  auto demands = traffic::sample_demands(g, 132, /*seed=*/11);
+  te::Problem pb(std::move(g), std::move(demands), 4);
+  traffic::TraceConfig tc;
+  tc.n_intervals = 6;
+  tc.seed = 12;
+  auto trace = traffic::generate_trace(pb, tc);
+  traffic::calibrate_capacities(pb, trace, 1.5);
+  traffic::Trace train, validation;
+  for (int t = 0; t < trace.size(); ++t) {
+    (t < 4 ? train : validation).matrices.push_back(trace.at(t));
+  }
+  return TrainInstance{std::move(pb), std::move(train), std::move(validation)};
+}
+
+std::uint64_t params_digest(core::Model& model, const std::vector<double>& stats) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const nn::Param* p : model.params()) {
+    h = fnv1a(p->w.data().data(), p->w.size() * sizeof(double), h);
+  }
+  return fnv1a(stats.data(), stats.size() * sizeof(double), h);
+}
+
+std::uint64_t coma_digest(core::Model& model, const TrainInstance& inst) {
+  core::ComaConfig cfg;
+  cfg.epochs = 1;
+  cfg.rollout_batch = 1;
+  cfg.workers = 1;
+  cfg.validation = &inst.validation;
+  const core::TrainStats st =
+      core::train_coma(model, inst.pb, inst.train, te::Objective::kTotalFlow, cfg);
+  std::vector<double> stats = st.epoch_reward;
+  stats.insert(stats.end(), st.epoch_validation.begin(), st.epoch_validation.end());
+  return params_digest(model, stats);
+}
+
+TEST(Golden, TrainingDigestsAreUnchanged) {
+  const TrainInstance inst = train_instance();
+  const int k = inst.pb.k_paths();
+  struct TrainCase {
+    std::string name;
+    std::function<std::uint64_t()> run;
+    std::uint64_t digest;
+  };
+  const std::vector<TrainCase> cases = {
+      {"TealModel/coma",
+       [&] {
+         core::TealModel m({}, k, 42);
+         return coma_digest(m, inst);
+       },
+       0x1b14d605bedc4738ull},
+      {"TealModel/direct",
+       [&] {
+         core::TealModel m({}, k, 42);
+         core::DirectLossConfig cfg;
+         cfg.epochs = 1;
+         cfg.rollout_batch = 1;
+         cfg.workers = 1;
+         const core::DirectLossStats st = core::train_direct_loss(
+             m, inst.pb, inst.train, te::Objective::kTotalFlow, cfg);
+         return params_digest(m, st.epoch_surrogate);
+       },
+       0xd631b663a361f13full},
+      {"NaiveDnn/coma",
+       [&] {
+         core::NaiveDnnModel m({}, inst.pb, 42);
+         return coma_digest(m, inst);
+       },
+       0xa7d676d1a3b93f2ull},
+      {"NaiveGnn/coma",
+       [&] {
+         core::NaiveGnnModel m({}, inst.pb, 42);
+         return coma_digest(m, inst);
+       },
+       0x17eaad45a4a8d777ull},
+      {"GlobalPolicy/coma",
+       [&] {
+         core::GlobalPolicyConfig gc;
+         gc.hidden_dim = 32;
+         core::GlobalPolicyModel m(gc, inst.pb, 42);
+         return coma_digest(m, inst);
+       },
+       0x9f05f96f4ba059eull},
+  };
+  for (const auto& c : cases) {
+    const std::uint64_t h = c.run();
     EXPECT_EQ(h, c.digest) << c.name << ": observed digest 0x" << std::hex << h;
   }
 }

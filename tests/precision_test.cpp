@@ -394,10 +394,12 @@ TEST(Precision, ForwardF32RequiresPreparedWeights) {
   core::TealModel model({}, inst.pb.k_paths(), 42);
   core::ModelForward fwd;
   const core::ShardPlan plan = core::ShardPlan::sequential(inst.pb.num_demands());
-  EXPECT_THROW(model.forward_ws_f32(inst.pb, inst.tm, nullptr, fwd, plan),
-               std::logic_error);
-  model.prepare_f32();
-  EXPECT_NO_THROW(model.forward_ws_f32(inst.pb, inst.tm, nullptr, fwd, plan));
+  EXPECT_THROW(
+      model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::f32),
+      std::logic_error);
+  model.prepare(te::Precision::f32);
+  EXPECT_NO_THROW(
+      model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::f32));
 }
 
 TEST(Precision, ForwardBf16RequiresPreparedWeights) {
@@ -405,24 +407,27 @@ TEST(Precision, ForwardBf16RequiresPreparedWeights) {
   core::TealModel model({}, inst.pb.k_paths(), 42);
   core::ModelForward fwd;
   const core::ShardPlan plan = core::ShardPlan::sequential(inst.pb.num_demands());
-  EXPECT_THROW(model.forward_ws_bf16(inst.pb, inst.tm, nullptr, fwd, plan),
-               std::logic_error);
-  // prepare_f32 alone is not enough — the bf16 snapshots are separate state.
-  model.prepare_f32();
-  EXPECT_THROW(model.forward_ws_bf16(inst.pb, inst.tm, nullptr, fwd, plan),
-               std::logic_error);
-  model.prepare_bf16();
-  EXPECT_NO_THROW(model.forward_ws_bf16(inst.pb, inst.tm, nullptr, fwd, plan));
+  EXPECT_THROW(
+      model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::bf16),
+      std::logic_error);
+  // Preparing f32 alone is not enough — the bf16 snapshots are separate state.
+  model.prepare(te::Precision::f32);
+  EXPECT_THROW(
+      model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::bf16),
+      std::logic_error);
+  model.prepare(te::Precision::bf16);
+  EXPECT_NO_THROW(
+      model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::bf16));
 }
 
 TEST(Precision, F32LogitsTrackF64Logits) {
   auto inst = make_small("B4", 30);
   core::TealModel model({}, inst.pb.k_paths(), 42);
-  model.prepare_f32();
+  model.prepare(te::Precision::f32);
   const core::ShardPlan plan = core::ShardPlan::sequential(inst.pb.num_demands());
   core::ModelForward f64fwd, f32fwd;
   model.forward_ws(inst.pb, inst.tm, nullptr, f64fwd, plan);
-  model.forward_ws_f32(inst.pb, inst.tm, nullptr, f32fwd, plan);
+  model.forward_ws(inst.pb, inst.tm, nullptr, f32fwd, plan, nullptr, te::Precision::f32);
   ASSERT_EQ(f32fwd.logits.rows(), f64fwd.logits.rows());
   ASSERT_EQ(f32fwd.logits.cols(), f64fwd.logits.cols());
   for (std::size_t i = 0; i < f64fwd.logits.data().size(); ++i) {
@@ -439,12 +444,33 @@ TEST(Precision, BackwardRejectsF32Cache) {
   // it would reinterpret garbage. The boundary throws instead.
   auto inst = make_small("B4", 30);
   core::TealModel model({}, inst.pb.k_paths(), 42);
-  model.prepare_f32();
+  model.prepare(te::Precision::f32);
   core::ModelForward fwd;
-  model.forward_ws_f32(inst.pb, inst.tm, nullptr, fwd,
-                       core::ShardPlan::sequential(inst.pb.num_demands()));
+  model.forward_ws(inst.pb, inst.tm, nullptr, fwd,
+                   core::ShardPlan::sequential(inst.pb.num_demands()), nullptr,
+                   te::Precision::f32);
   nn::Mat grad(fwd.logits.rows(), fwd.logits.cols(), 1.0);
-  EXPECT_THROW(model.backward_m(inst.pb, fwd, grad), std::logic_error);
+  nn::GradAccum acc;
+  acc.prepare(model.params());
+  core::TrainBackward bws;
+  EXPECT_THROW(model.backward_ws(inst.pb, fwd, grad, bws, acc.refs()), std::logic_error);
+}
+
+TEST(Precision, VariantRejectsNarrowedForward) {
+  // A model asked for a precision it does not support throws instead of
+  // silently running f64 — for prepare() and for the forward itself.
+  auto inst = make_small("B4", 30);
+  core::NaiveDnnModel model(core::NaiveDnnConfig{}, inst.pb);
+  EXPECT_TRUE(model.supports(te::Precision::f64));
+  core::ModelForward fwd;
+  const core::ShardPlan plan = core::ShardPlan::sequential(inst.pb.num_demands());
+  for (te::Precision p : {te::Precision::f32, te::Precision::bf16}) {
+    EXPECT_FALSE(model.supports(p));
+    EXPECT_THROW(model.prepare(p), std::logic_error);
+    EXPECT_THROW(model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, p),
+                 std::logic_error);
+  }
+  EXPECT_NO_THROW(model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan));
 }
 
 // ---- f64 kernel bit-stability (the TEAL_SIMD=ON identity guard) ----------

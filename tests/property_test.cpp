@@ -132,7 +132,7 @@ TEST_P(SchemeProperties, AdmmNeverBreaksDemandConstraint) {
 TEST_P(SchemeProperties, UntrainedModelStillProducesValidSplits) {
   auto b = build(GetParam());
   core::TealModel model({}, b.pb.k_paths(), GetParam().seed);
-  auto fwd = model.forward_m(b.pb, b.trace.at(0));
+  auto fwd = model.forward(b.pb, b.trace.at(0));
   auto splits = core::splits_from_logits(fwd.logits, fwd.mask);
   auto a = core::allocation_from_splits(b.pb, splits);
   EXPECT_NO_THROW(b.pb.validate_allocation(a, 1e-9));

@@ -4,9 +4,9 @@
 //   1. Fidelity: with one worker and the default rollout batch of 1, the
 //      workspace path (forward_ws / backward_ws / per-slot accumulators)
 //      trains parameters byte-identical to a reference trainer that drives
-//      the allocating forward_m / backward_m interface with the same,
-//      documented semantics. The references below ARE that contract, written
-//      against the public Model API only.
+//      the typed TealModel::forward / backward API (allocating, accumulating
+//      straight into Param::g) with the same, documented semantics. The
+//      references below ARE that contract.
 //   2. Worker-count invariance: the `workers` knob is pure throughput —
 //      byte-identical parameters for 1/2/4 workers on multiple bundled
 //      topologies (the per-(rollout, demand) noise keying plus the ordered
@@ -17,7 +17,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/coma.h"
@@ -94,11 +97,11 @@ void row_softmax(const double* z, const double* mask, int k, double* out) {
   }
 }
 
-// Reference COMA* trainer over the allocating Model API: per-matrix Adam
+// Reference COMA* trainer over the typed TealModel API: per-matrix Adam
 // steps, exploration streams keyed by core::coma_noise_seed exactly as
 // documented in coma.h. train_coma with workers = 1, rollout_batch = 1 must
 // match this byte for byte.
-void reference_coma(core::Model& model, const te::Problem& pb, const traffic::Trace& train,
+void reference_coma(core::TealModel& model, const te::Problem& pb, const traffic::Trace& train,
                     const core::ComaConfig& cfg) {
   const int k = model.k_paths();
   const int nd = pb.num_demands();
@@ -110,7 +113,7 @@ void reference_coma(core::Model& model, const te::Problem& pb, const traffic::Tr
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
     for (int t = 0; t < train.size(); ++t) {
       const te::TrafficMatrix& tm = train.at(t);
-      auto fwd = model.forward_m(pb, tm, &caps);
+      auto fwd = model.forward(pb, tm, &caps);
       nn::Mat z(nd, k), splits(nd, k);
       for (int d = 0; d < nd; ++d) {
         util::CounterRng rng(
@@ -154,16 +157,16 @@ void reference_coma(core::Model& model, const te::Problem& pb, const traffic::Tr
         }
       }
       adam.zero_grad();
-      model.backward_m(pb, fwd, grad_logits);
+      model.backward(pb, fwd, grad_logits);
       adam.clip_grad_norm(cfg.grad_clip);
       adam.step();
     }
   }
 }
 
-// Reference direct-loss trainer over the allocating Model API (the seed
+// Reference direct-loss trainer over the typed TealModel API (the seed
 // semantics: per-matrix steps, surrogate gradient through the softmax).
-void reference_direct_loss(core::Model& model, const te::Problem& pb,
+void reference_direct_loss(core::TealModel& model, const te::Problem& pb,
                            const traffic::Trace& train, const core::DirectLossConfig& cfg) {
   const int k = model.k_paths();
   const int nd = pb.num_demands();
@@ -173,7 +176,7 @@ void reference_direct_loss(core::Model& model, const te::Problem& pb,
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
     for (int t = 0; t < train.size(); ++t) {
       const te::TrafficMatrix& tm = train.at(t);
-      auto fwd = model.forward_m(pb, tm, &caps);
+      auto fwd = model.forward(pb, tm, &caps);
       nn::Mat splits = core::splits_from_logits(fwd.logits, fwd.mask);
       te::Allocation a = core::allocation_from_splits(pb, splits);
       auto load = te::edge_loads(pb, tm, a);
@@ -197,7 +200,7 @@ void reference_direct_loss(core::Model& model, const te::Problem& pb,
       nn::Mat grad_logits;
       nn::softmax_rows_backward(splits, grad_splits, grad_logits);
       adam.zero_grad();
-      model.backward_m(pb, fwd, grad_logits);
+      model.backward(pb, fwd, grad_logits);
       adam.clip_grad_norm(cfg.grad_clip);
       adam.step();
     }
@@ -323,36 +326,51 @@ TEST(TrainWorkspace, ContextPrepareIsO1Allocations) {
   core::TrainContext ctx;
   {
     util::AllocCounter allocs;
-    ctx.prepare(model, s.pb, /*rollout_batch=*/4, /*workers=*/2);
+    ctx.prepare(model, /*rollout_batch=*/4, /*workers=*/2);
     EXPECT_LE(allocs.count(), 5u)
         << "TrainContext spin-up must stay O(1) heap allocations";
   }
-  ASSERT_TRUE(ctx.ws_path());
   EXPECT_EQ(ctx.rollout_batch(), 4);
   {
     util::AllocCounter allocs;
-    ctx.prepare(model, s.pb, /*rollout_batch=*/4, /*workers=*/2);
+    ctx.prepare(model, /*rollout_batch=*/4, /*workers=*/2);
     EXPECT_LE(allocs.count(), 5u)
         << "re-prepare must re-bump retained chunks, not re-malloc";
   }
 }
 
-// Models without the workspace seam (the Figure 14 ablation variants) fall
-// back to the sequential backward_m path: any worker request must produce
-// the same parameters as workers = 1 (the context forces sequential).
-TEST(TrainWorkspace, LegacyModelFallbackIsWorkerInvariant) {
+// The Figure 14 ablation variants train through the same workspace seam as
+// Teal, so the worker knob is pure throughput for them too: a prepared
+// context really fans out, and workers = 4 trains byte-identical parameters
+// to workers = 1.
+TEST(TrainWorkspace, VariantsAreWorkerInvariant) {
   auto s = topo_setup("B4", 60, 4);
-  core::NaiveGnnModel baseline({}, s.pb, 3);
-  core::NaiveGnnModel model({}, s.pb, 3);
-  ASSERT_FALSE(baseline.supports_train_ws());
-  core::ComaConfig cfg;
-  cfg.epochs = 1;
-  cfg.rollout_batch = 2;
-  cfg.workers = 1;
-  core::train_coma(baseline, s.pb, s.trace, te::Objective::kTotalFlow, cfg);
-  cfg.workers = 4;
-  core::train_coma(model, s.pb, s.trace, te::Objective::kTotalFlow, cfg);
-  expect_params_bit_identical(model, baseline, "legacy fallback workers=4");
+  core::GlobalPolicyConfig gp;
+  gp.hidden_dim = 32;
+  const std::vector<std::pair<std::string, std::function<std::unique_ptr<core::Model>()>>>
+      variants = {
+          {"NaiveDnn", [&] { return std::make_unique<core::NaiveDnnModel>(
+                                 core::NaiveDnnConfig{}, s.pb, 3); }},
+          {"NaiveGnn", [&] { return std::make_unique<core::NaiveGnnModel>(
+                                 core::NaiveGnnConfig{}, s.pb, 3); }},
+          {"GlobalPolicy",
+           [&] { return std::make_unique<core::GlobalPolicyModel>(gp, s.pb, 3); }},
+      };
+  for (const auto& [name, make] : variants) {
+    auto baseline = make();
+    auto model = make();
+    core::TrainContext ctx;
+    ctx.prepare(*model, /*rollout_batch=*/2, /*workers=*/4);
+    EXPECT_GT(ctx.workers(), 1) << name;
+    core::ComaConfig cfg;
+    cfg.epochs = 1;
+    cfg.rollout_batch = 2;
+    cfg.workers = 1;
+    core::train_coma(*baseline, s.pb, s.trace, te::Objective::kTotalFlow, cfg);
+    cfg.workers = 4;
+    core::train_coma(*model, s.pb, s.trace, te::Objective::kTotalFlow, cfg);
+    expect_params_bit_identical(*model, *baseline, name + " workers=4");
+  }
 }
 
 // Unit seam check: backward_acc accumulates the same values into external
