@@ -5,7 +5,7 @@
 // flow-allocation error per topology.
 //
 // Not a paper figure: this bench quantifies the repo's own precision knob
-// (te::Scheme::set_precision), the CPU analogue of the paper's fp32 GPU
+// (core::TealScheme::set_precision), the CPU analogue of the paper's fp32 GPU
 // inference. The f64 path is the bit-stable reference under every build
 // flag; the narrowed kernels vectorize under TEAL_SIMD, so the f64/f32
 // kernel ratio reported here is the honest speedup of narrowing + SIMD on

@@ -2,11 +2,11 @@
 //
 // Not a paper figure: this bench drives the scenario factory (src/scenario/)
 // end to end — generated power-law WANs, gravity traffic with adversarial
-// modulators, rolling failure churn — through sim::run_served, and records a
-// scenario-matrix ledger in EXPERIMENTS.md ("Scenario matrix ledger"). It is
-// the robustness story (fig 8–10) under serving load on inputs the cost
-// models were never tuned on: every scenario is deterministic from its seed,
-// so any row can be regenerated bit-identically.
+// modulators, rolling failure churn — through sim::run_served_fleet, and
+// records a scenario-matrix ledger in EXPERIMENTS.md ("Scenario matrix
+// ledger"). It is the robustness story (fig 8–10) under serving load on
+// inputs the cost models were never tuned on: every scenario is
+// deterministic from its seed, so any row can be regenerated bit-identically.
 //
 // The invariant the bench itself enforces (exit nonzero otherwise): every
 // run's serving ledger balances — offered == accepted + shed, completed ==
@@ -52,7 +52,7 @@ void append_experiments_ledger(const std::vector<Row>& rows) {
 
 int main() {
   bench::print_header("Scenario matrix",
-                      "generated topologies x adversarial traffic through run_served");
+                      "generated topologies x adversarial traffic through run_served_fleet");
   const std::vector<std::string> schemes = {"Teal", "LP-top"};
   const std::vector<std::string> scenarios = {"baseline", "diurnal", "flash-crowd",
                                               "rolling-failure"};
@@ -77,8 +77,8 @@ int main() {
 
       for (const auto& scheme_name : schemes) {
         auto scheme = scenario::make_cold_scheme(scheme_name, sc.pb);
-        sim::ServedConfig cfg;
-        cfg.n_replicas = 2;
+        sim::ServedFleetConfig cfg;
+        cfg.total_replicas = 2;
         cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
         auto res = scenario::run_scenario(
             *scheme, sc, cfg, scenario::cold_scheme_factory(scheme_name, sc.pb));

@@ -3,10 +3,11 @@
 // Not a paper figure: this bench measures the repo's own serving subsystem
 // (serve::Server), the scaling scenario ROADMAP.md names as the successor to
 // solve_batch. One shared trained TealScheme, N workspace replicas draining
-// a burst of requests (open-loop saturation, sim::run_served with arrival
-// interval 0). Because replica solves over independent matrices commute —
-// no shared mutable state, the same argument behind solve_batch — solves/sec
-// should rise monotonically from 1 replica to the hardware thread count.
+// a burst of requests (open-loop saturation, a one-tenant
+// sim::run_served_fleet with arrival interval 0). Because replica solves
+// over independent matrices commute — no shared mutable state, the same
+// argument behind solve_batch — solves/sec should rise monotonically from 1
+// replica to the hardware thread count.
 //
 // A second pass offers requests at ~2× the measured single-replica service
 // rate against a one-interval deadline, demonstrating admission control:
@@ -76,6 +77,17 @@ int main() {
         inst->split.test.at(i % std::max(1, inst->split.test.size())));
   }
 
+  // This bench measures the *replica* axis in isolation: pin one shard per
+  // solve so the auto cost model can't hand the 1-replica baseline extra
+  // pool threads (which would contaminate the speedup column and the
+  // monotonicity expectation). bench_shard_scaling owns the shard axis.
+  teal->set_shard_count(1);
+  auto serve = [&](const sim::ServedFleetConfig& cfg) {
+    return sim::run_served_fleet(
+        {{.name = inst->name, .pb = &inst->pb, .trace = &requests, .scheme = teal.get()}},
+        cfg);
+  };
+
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   util::Table table({"replicas", "solves/sec", "speedup", "solve p50 ms", "solve p99 ms",
                      "resp p99 ms", "shed"});
@@ -85,17 +97,12 @@ int main() {
   double base_throughput = 0.0;
   bool monotonic = true;
   for (std::size_t r = 1; r <= hw; ++r) {
-    sim::ServedConfig cfg;
-    cfg.n_replicas = r;
-    // This bench measures the *replica* axis in isolation: pin one shard per
-    // solve so the auto cost model can't hand the 1-replica baseline extra
-    // pool threads (which would contaminate the speedup column and the
-    // monotonicity expectation). bench_shard_scaling owns the shard axis.
-    cfg.shard_count = 1;
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = r;
     cfg.serve.queue_capacity = static_cast<std::size_t>(n_requests);
     // Saturation mode: one burst, no deadline — measures pure service capacity.
-    auto res = sim::run_served(*teal, inst->pb, requests, cfg);
-    const auto& s = res.stats;
+    const auto res = serve(cfg);
+    const auto& s = res.stats.tenants[0].serve;
     SweepRow row;
     row.replicas = r;
     row.solves_per_sec = s.throughput();
@@ -124,14 +131,13 @@ int main() {
   // rate against a one-arrival-interval deadline; the server sheds the
   // excess instead of queueing requests it cannot start in time.
   if (base_throughput > 0.0) {
-    sim::ServedConfig cfg;
-    cfg.n_replicas = 1;
-    cfg.shard_count = 1;  // same isolation as the sweep above
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = 1;
     cfg.arrival_interval_seconds = 1.0 / (2.0 * base_throughput);
     cfg.serve.queue_capacity = static_cast<std::size_t>(n_requests);
     cfg.serve.deadline_seconds = cfg.arrival_interval_seconds;
-    auto res = sim::run_served(*teal, inst->pb, requests, cfg);
-    const auto& s = res.stats;
+    const auto res = serve(cfg);
+    const auto& s = res.stats.tenants[0].serve;
     std::printf("\n  overload: offered at 2.0x single-replica rate, deadline = one arrival\n"
                 "  interval -> accepted %llu, shed %llu (%.0f%%), response p99 %.3f ms\n",
                 static_cast<unsigned long long>(s.accepted),

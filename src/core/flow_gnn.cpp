@@ -352,7 +352,7 @@ void FlowGnn::forward_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
   if (!f32_ready()) {
     throw std::logic_error(
         "FlowGnn::forward_f32: prepare_f32() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+        "TealScheme::set_precision, which snapshots the weights)");
   }
   forward_impl(pb, tm, capacities, fwd, shards, stats, edge_f32_, path_f32_, dnn_f32_);
 }
@@ -363,7 +363,7 @@ void FlowGnn::forward_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
   if (!bf16_ready()) {
     throw std::logic_error(
         "FlowGnn::forward_bf16: prepare_bf16() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+        "TealScheme::set_precision, which snapshots the weights)");
   }
   forward_impl(pb, tm, capacities, fwd, shards, stats, edge_bf16_, path_bf16_, dnn_bf16_);
 }

@@ -80,7 +80,7 @@ void PolicyNet::prepare_forward(ForwardF& fwd) const {
   if (!f32_ready()) {
     throw std::logic_error(
         "PolicyNet: prepare_f32() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+        "TealScheme::set_precision, which snapshots the weights)");
   }
   prepare_forward_impl(fwd, hidden_f32_, *out_f32_);
 }
@@ -89,7 +89,7 @@ void PolicyNet::forward_rows(ForwardF& fwd, int row_begin, int row_end) const {
   if (!f32_ready()) {
     throw std::logic_error(
         "PolicyNet: prepare_f32() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+        "TealScheme::set_precision, which snapshots the weights)");
   }
   forward_rows_impl(fwd, hidden_f32_, *out_f32_, row_begin, row_end);
 }
@@ -98,7 +98,7 @@ void PolicyNet::prepare_forward_bf16(ForwardF& fwd) const {
   if (!bf16_ready()) {
     throw std::logic_error(
         "PolicyNet: prepare_bf16() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+        "TealScheme::set_precision, which snapshots the weights)");
   }
   prepare_forward_impl(fwd, hidden_bf16_, *out_bf16_);
 }
@@ -107,7 +107,7 @@ void PolicyNet::forward_rows_bf16(ForwardF& fwd, int row_begin, int row_end) con
   if (!bf16_ready()) {
     throw std::logic_error(
         "PolicyNet: prepare_bf16() has not been called (use "
-        "te::Scheme::set_precision, which snapshots the weights)");
+        "TealScheme::set_precision, which snapshots the weights)");
   }
   forward_rows_impl(fwd, hidden_bf16_, *out_bf16_, row_begin, row_end);
 }

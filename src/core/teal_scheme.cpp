@@ -28,18 +28,32 @@ TealScheme::TealScheme(const te::Problem& pb, std::unique_ptr<Model> model,
     : hub_(std::shared_ptr<Model>(std::move(model))), cfg_(cfg),
       admm_(pb, make_admm_config(pb, cfg)), name_(std::move(name)) {}
 
+namespace {
+
+// Readies `m` to solve at precision `p` (weight snapshots for the narrowed
+// precisions); throws std::invalid_argument naming `who` when `m` cannot.
+void prepare_for(Model& m, te::Precision p, const char* who) {
+  if (!m.supports(p)) {
+    throw std::invalid_argument(std::string(who) + ": model does not support precision " +
+                                te::precision_name(p));
+  }
+  m.prepare(p);
+}
+
+}  // namespace
+
+void TealScheme::set_precision(te::Precision p) {
+  prepare_for(*hub_.acquire().model, p, "TealScheme::set_precision");
+  precision_ = p;
+}
+
 std::uint64_t TealScheme::publish_model(std::unique_ptr<Model> m) {
   if (!m) throw std::invalid_argument("TealScheme::publish_model: model is null");
   // Mutation-before-visibility: narrowed weight mirrors matching the current
-  // precision knob are built on the new model while it is still private to
-  // this call. Once published the model is immutable (replicas may be reading
-  // it from any thread).
-  if (!m->supports(precision_)) {
-    throw std::invalid_argument(std::string("TealScheme::publish_model: model does not support "
-                                            "the scheme's precision ") +
-                                te::precision_name(precision_));
-  }
-  m->prepare(precision_);
+  // precision are built on the new model while it is still private to this
+  // call. Once published the model is immutable (replicas may be reading it
+  // from any thread).
+  prepare_for(*m, precision_, "TealScheme::publish_model");
   return hub_.publish(std::shared_ptr<Model>(std::move(m)));
 }
 
@@ -112,7 +126,7 @@ te::BatchSolve TealScheme::solve_batch(const te::Problem& pb,
   // shard speedup is sublinear (fork-join barriers; ~1.5-2x at 4 shards on
   // the shard_scaling ledger), so the batch axis wins. A *single* matrix is
   // the case batching cannot touch: the sequential fallback below runs it
-  // through solve_into(), where the shard knob fans its demand slices over
+  // through solve_into(), where the shard count fans its demand slices over
   // the otherwise-idle pool. Inside a pool worker (or inline scope) nested
   // fan-out of either axis is impossible and the fallback runs fully
   // sequential.

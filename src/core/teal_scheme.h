@@ -15,7 +15,6 @@
 // sequential path; solve_batch composes the two axes by a cost model.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +55,7 @@ class TealScheme : public te::Scheme {
   // Fans the batch out over ThreadPool::global() with one persistent
   // workspace per worker (each solve sequential within its worker). A
   // single-matrix batch instead runs through solve_into(), where the shard
-  // knob fans the solve's demand slices over the otherwise-idle pool — the
+  // count fans the solve's demand slices over the otherwise-idle pool — the
   // axis-composition cost model (DESIGN.md "Parallelism model"). Results
   // are identical to a sequential solve() loop either way (workspaces share
   // no mutable state); only the timing differs — see the BatchSolve
@@ -68,42 +67,42 @@ class TealScheme : public te::Scheme {
   bool has_warm_state() const override { return true; }
   bool supports_parallel_batch() const override { return true; }
 
-  // Intra-solve demand sharding (core::ShardPlan): every per-demand stage —
-  // the FlowGNN demand passes, policy-input assembly, policy forward,
-  // masked softmax, allocation writeback and the ADMM F-update/dual stages
-  // — fans its demand slice out over the thread pool; coupled link-level
-  // stages run as per-edge passes and reductions stay sequential, so the
-  // allocation is bit-identical for every shard count (tests/shard_test).
-  bool supports_demand_sharding() const override { return true; }
-  void set_shard_count(int n) override { shard_count_ = n; }
-  int shard_count() const override { return shard_count_; }
+  // The scheme owns its two solve settings; every driver (run_online,
+  // solve_batch, the serving replicas) reads them from here.
+  //
+  // Shard count — intra-solve demand sharding (core::ShardPlan): every
+  // per-demand stage (the FlowGNN demand passes, policy-input assembly,
+  // policy forward, masked softmax, allocation writeback and the ADMM
+  // F-update/dual stages) fans its demand slice out over the thread pool;
+  // coupled link-level stages run as per-edge passes and reductions stay
+  // sequential, so the allocation is bit-identical for every shard count
+  // (tests/shard_test). 0 = auto (the core::auto_shard_count cost model
+  // against the threads available to the calling context), 1 = sequential,
+  // n = exactly n shards (clamped to the demand count). A pure latency
+  // setting. Workspace replicas (serve::make_workspace_replicas) read it
+  // once at construction, where 0 resolves through serve::pick_replica_shards.
+  void set_shard_count(int n) { shard_count_ = n; }
+  int shard_count() const { return shard_count_; }
 
-  // Precision knob (te::Precision): f32 narrows the NN forward to float —
-  // through per-layer blocked weight snapshots taken here — while the masked
+  // Precision (te::Precision): f32 narrows the NN forward to float — through
+  // per-layer blocked weight snapshots taken here — while the masked
   // softmax, the allocation writeback and the ADMM fine-tune stay double,
   // mirroring the paper's fp32 GPU inference. bf16 additionally narrows the
   // *stored* weights to bfloat16 (activations and accumulations stay f32).
-  // Snapshotting mutates the shared model, so set the precision before
-  // replicas/batches start and re-set it after any further training
-  // (tests/precision_test.cpp bounds the f32- and bf16-vs-f64 allocation
-  // error per topology). Support follows the wrapped model (Model::supports):
-  // the Figure 14 ablation variants are f64-only, and claiming support while
-  // silently solving in f64 would corrupt any narrowed-vs-f64 comparison
-  // run against them.
-  bool supports_precision(te::Precision p) const override {
-    return hub_.acquire().model->supports(p);
-  }
-  void set_precision(te::Precision p) override {
-    const ModelSnapshot snap = hub_.acquire();
-    if (!snap.model->supports(p)) return;  // knob contract: unsupported = ignored
-    snap.model->prepare(p);
-    precision_ = p;
-  }
-  te::Precision precision() const override { return precision_; }
+  // Unlike the shard count this perturbs the allocation, within the bound
+  // tests/precision_test.cpp checks per topology. Support follows the
+  // wrapped model (Model::supports): the Figure 14 ablation variants are
+  // f64-only, and set_precision throws std::invalid_argument for a precision
+  // the model cannot run, leaving precision() unchanged. Snapshotting
+  // mutates the shared model, so set the precision before replicas or
+  // batches start solving, and set it again after any further training.
+  bool supports_precision(te::Precision p) const { return hub_.acquire().model->supports(p); }
+  void set_precision(te::Precision p);
+  te::Precision precision() const { return precision_; }
 
   // Live hot-swap (ModelHub publication seam): installs `m` as the new
   // current model and returns its version. Precision snapshots matching the
-  // scheme's current knob are prepared on `m` *before* it becomes visible
+  // scheme's current precision are prepared on `m` *before* it becomes visible
   // (mutation-before-visibility), so replicas never observe a model whose
   // narrowed mirrors are mid-construction. A model that does not support
   // the current precision is rejected with std::invalid_argument before it
@@ -127,6 +126,7 @@ class TealScheme : public te::Scheme {
   // convention (0 = auto) but defaults to 1: a replica's outer parallelism
   // is across replicas, so its inner solve stays sequential unless the
   // serving cost model (serve::pick_replica_shards) grants it pool threads.
+  // Workspace replicas fill it from shard_count() at construction.
   // After the call `ws.plan` / `ws.shard_stats` hold the executed plan and
   // per-shard load-balance accounting.
   void solve_replica(SolveWorkspace& ws, const te::Problem& pb, const te::TrafficMatrix& tm,
@@ -149,7 +149,7 @@ class TealScheme : public te::Scheme {
  private:
   // One solve through an explicit workspace; thread-safe across distinct
   // workspaces. Also records per-solve seconds into `seconds_out` if given.
-  // `shard_count` follows the knob convention (0 = auto cost model).
+  // `shard_count` follows the set_shard_count convention (0 = auto cost model).
   void solve_with(SolveWorkspace& ws, const te::Problem& pb, const te::TrafficMatrix& tm,
                   te::Allocation& out, double* seconds_out, int shard_count) const;
 
@@ -186,9 +186,8 @@ struct TealTrainOptions {
   // If non-empty, load the model from this file when present (and save after
   // training otherwise) — trained models are reused across bench runs.
   std::string cache_path;
-  // Training parallelism knobs applied to whichever trainer runs (mirroring
-  // how sim::OnlineConfig carries the solve-side knobs): when >= 0 they
-  // override the per-trainer `workers` (0 = auto) and when > 0 the
+  // Training parallelism knobs applied to whichever trainer runs: when
+  // >= 0 they override the per-trainer `workers` (0 = auto) and when > 0 the
   // per-trainer `rollout_batch`. -1 / 0 leave the trainer configs untouched.
   // `workers` is pure throughput (bit-identical parameters for every value);
   // `rollout_batch` changes optimizer-step granularity — see

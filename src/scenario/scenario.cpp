@@ -164,7 +164,7 @@ serve::SchemeFactory cold_scheme_factory(const std::string& scheme,
 }
 
 ScenarioRunResult run_scenario(te::Scheme& scheme, Scenario& sc,
-                               const sim::ServedConfig& cfg,
+                               const sim::ServedFleetConfig& cfg,
                                const serve::SchemeFactory& factory) {
   ScenarioRunResult res;
   const int n = sc.trace.size();
@@ -191,17 +191,22 @@ ScenarioRunResult run_scenario(te::Scheme& scheme, Scenario& sc,
     traffic::Trace segment;
     segment.matrices.assign(sc.trace.matrices.begin() + b,
                             sc.trace.matrices.begin() + e);
-    sim::ServedResult sr = sim::run_served(scheme, sc.pb, segment, cfg, factory);
+    sim::ServedFleetResult sr = sim::run_served_fleet(
+        {{.name = sc.name, .pb = &sc.pb, .trace = &segment, .scheme = &scheme,
+          .factory = factory}},
+        cfg);
+    sim::ServedFleetResult::Tenant& served = sr.tenants[0];
 
     for (int t = 0; t < segment.size(); ++t) {
       const auto i = static_cast<std::size_t>(t);
-      res.accepted.push_back(sr.accepted[i]);
+      res.accepted.push_back(served.accepted[i]);
       res.satisfied_pct.push_back(
-          sr.accepted[i] ? te::satisfied_demand_pct(sc.pb, segment.at(t), sr.allocs[i])
-                         : 0.0);
-      res.allocs.push_back(std::move(sr.allocs[i]));
+          served.accepted[i]
+              ? te::satisfied_demand_pct(sc.pb, segment.at(t), served.allocs[i])
+              : 0.0);
+      res.allocs.push_back(std::move(served.allocs[i]));
     }
-    merge_stats(res.stats, sr.stats);
+    merge_stats(res.stats, sr.stats.tenants[0].serve);
   }
 
   double sum = 0.0;

@@ -3,10 +3,10 @@
 // Composes a generated topology (generators.h), a gravity-model traffic
 // trace with adversarial modulators (traffic_model.h) and an optional
 // rolling failure schedule (failures.h) into one named, fully deterministic
-// Scenario, then replays it through the serving layer (sim::run_served) —
-// the robustness axis (fig 8–10) exercised under serving load instead of
-// offline. bench_scenario_matrix sweeps scheme × scenario × scale into the
-// EXPERIMENTS.md "Scenario matrix ledger".
+// Scenario, then replays it through the serving layer
+// (sim::run_served_fleet) — the robustness axis (fig 8–10) exercised under
+// serving load instead of offline. bench_scenario_matrix sweeps scheme ×
+// scenario × scale into the EXPERIMENTS.md "Scenario matrix ledger".
 //
 // Generated topologies have no trained model; make_cold_scheme builds the
 // *untrained* Teal pipeline (deterministic seed init — the serving, sharding
@@ -87,7 +87,7 @@ serve::SchemeFactory cold_scheme_factory(const std::string& scheme,
 
 struct ScenarioRunResult {
   // Index-aligned with the scenario trace, concatenated over failure epochs
-  // (same contract as sim::ServedResult).
+  // (same contract as sim::ServedFleetResult::Tenant).
   std::vector<te::Allocation> allocs;
   std::vector<char> accepted;
   // Satisfied demand per interval under the capacities active at that
@@ -99,12 +99,14 @@ struct ScenarioRunResult {
   int n_epochs = 1;
 };
 
-// Replays the scenario through sim::run_served, re-applying the failure
-// schedule's capacities between epochs (solves never see a capacity change
-// mid-flight). The scenario's graph capacities are restored before
-// returning, even on error. `factory` follows the run_served contract.
+// Replays the scenario through a one-tenant sim::run_served_fleet per
+// failure epoch (cfg.total_replicas is the tenant's replica count),
+// re-applying the failure schedule's capacities between epochs (solves never
+// see a capacity change mid-flight). The scenario's graph capacities are
+// restored before returning, even on error. `factory` follows the
+// serve::make_replicas contract.
 ScenarioRunResult run_scenario(te::Scheme& scheme, Scenario& sc,
-                               const sim::ServedConfig& cfg,
+                               const sim::ServedFleetConfig& cfg,
                                const serve::SchemeFactory& factory = nullptr);
 
 // Multi-tenant counterpart: each scenario becomes one fleet tenant (scheme

@@ -84,7 +84,7 @@ void Fleet::start() {
     std::vector<ReplicaPtr> replicas =
         t.cfg.make_replicas_fn
             ? t.cfg.make_replicas_fn(t.assigned)
-            : make_replicas(*t.cfg.scheme, t.assigned, t.cfg.factory, t.cfg.shard_count);
+            : make_replicas(*t.cfg.scheme, t.assigned, t.cfg.factory);
     t.server = std::make_unique<Server>(*t.cfg.pb, std::move(replicas), t.cfg.serve);
   }
   started_ = true;

@@ -53,7 +53,6 @@ struct TenantConfig {
   te::Scheme* scheme = nullptr;
   SchemeFactory factory;  // required by make_replicas for non-warm schemes
   ServeConfig serve;
-  int shard_count = 0;           // per-replica inner shard knob (0 = auto)
   double offered_weight = 1.0;   // relative request rate (placement input)
   std::size_t requested_replicas = 0;  // static-policy count (0 = one)
   // Test seam: when set, builds this tenant's replicas directly and

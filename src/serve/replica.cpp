@@ -11,8 +11,8 @@ namespace {
 
 class WorkspaceReplica final : public Replica {
  public:
-  WorkspaceReplica(const core::TealScheme& scheme, std::size_t n_replicas, int shard_count)
-      : scheme_(scheme), n_replicas_(n_replicas), shards_(shard_count) {}
+  WorkspaceReplica(const core::TealScheme& scheme, std::size_t n_replicas)
+      : scheme_(scheme), n_replicas_(n_replicas), shards_(scheme.shard_count()) {}
 
   void solve(const te::Problem& pb, const te::TrafficMatrix& tm, te::Allocation& out,
              double* seconds) override {
@@ -72,11 +72,11 @@ int pick_replica_shards(std::size_t n_replicas, int n_demands, int total_paths) 
 }
 
 std::vector<ReplicaPtr> make_workspace_replicas(const core::TealScheme& scheme,
-                                                std::size_t n, int shard_count) {
+                                                std::size_t n) {
   std::vector<ReplicaPtr> out;
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(std::make_unique<WorkspaceReplica>(scheme, n, shard_count));
+    out.push_back(std::make_unique<WorkspaceReplica>(scheme, n));
   }
   return out;
 }
@@ -92,10 +92,10 @@ std::vector<ReplicaPtr> make_scheme_replicas(const SchemeFactory& factory, std::
 }
 
 std::vector<ReplicaPtr> make_replicas(te::Scheme& scheme, std::size_t n,
-                                      const SchemeFactory& factory, int shard_count) {
+                                      const SchemeFactory& factory) {
   if (scheme.has_warm_state() && scheme.supports_parallel_batch()) {
     if (auto* teal = dynamic_cast<core::TealScheme*>(&scheme)) {
-      return make_workspace_replicas(*teal, n, shard_count);
+      return make_workspace_replicas(*teal, n);
     }
   }
   if (!factory) {

@@ -60,13 +60,12 @@ using SchemeFactory = std::function<te::SchemePtr()>;
 int pick_replica_shards(std::size_t n_replicas, int n_demands, int total_paths);
 
 // N workspace replicas over one shared TealScheme. `scheme` must outlive the
-// replicas; its own solve()/solve_batch() state is untouched. `shard_count`
-// follows the te::Scheme knob convention: 0 = auto (pick_replica_shards,
+// replicas; its own solve()/solve_batch() state is untouched. Each replica
+// reads scheme.shard_count() once, here: 0 = auto (pick_replica_shards,
 // resolved against the problem on first solve), 1 = sequential inner solve,
 // n = exactly n demand shards per solve. Results are bit-identical for
 // every value.
-std::vector<ReplicaPtr> make_workspace_replicas(const core::TealScheme& scheme, std::size_t n,
-                                                int shard_count = 0);
+std::vector<ReplicaPtr> make_workspace_replicas(const core::TealScheme& scheme, std::size_t n);
 
 // N single-scheme replicas from a factory (LP baselines).
 std::vector<ReplicaPtr> make_scheme_replicas(const SchemeFactory& factory, std::size_t n);
@@ -75,9 +74,7 @@ std::vector<ReplicaPtr> make_scheme_replicas(const SchemeFactory& factory, std::
 // keeps warm per-solve state and supports parallel batching (TealScheme),
 // otherwise one instance per replica via `factory`. Throws
 // std::invalid_argument when the scheme needs a factory and none was given.
-// `shard_count` applies to workspace replicas only (see above; 0 = auto).
 std::vector<ReplicaPtr> make_replicas(te::Scheme& scheme, std::size_t n,
-                                      const SchemeFactory& factory = nullptr,
-                                      int shard_count = 0);
+                                      const SchemeFactory& factory = nullptr);
 
 }  // namespace teal::serve

@@ -100,22 +100,6 @@ OnlineResult run_loop(const te::Problem& pb, const traffic::Trace& trace,
 
 OnlineResult run_online(te::Scheme& scheme, const te::Problem& pb,
                         const traffic::Trace& trace, const OnlineConfig& cfg) {
-  // Apply the config's shard knob for the duration of this call only — the
-  // scheme is borrowed, and a later run with a default config must see the
-  // scheme's own setting again.
-  struct KnobGuard {
-    te::Scheme* s = nullptr;
-    int prev = 0;
-    ~KnobGuard() {
-      if (s != nullptr) s->set_shard_count(prev);
-    }
-  } guard;
-  if (cfg.shard_count != 0 && scheme.supports_demand_sharding()) {
-    guard.s = &scheme;
-    guard.prev = scheme.shard_count();
-    scheme.set_shard_count(cfg.shard_count);
-  }
-  te::Scheme::ScopedPrecision precision_guard(scheme, cfg.precision);
   if (scheme.supports_parallel_batch()) {
     // One batched solve pass over the whole trace, then the staleness replay
     // over the measured times. Solving matrices the replay never deploys is

@@ -32,7 +32,6 @@
 // mapping does.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "te/scheme.h"
@@ -44,20 +43,6 @@ struct OnlineConfig {
   double interval_seconds = 300.0;
   double time_scale = 1.0;
   te::Objective objective = te::Objective::kTotalFlow;
-  // Demand-shard knob applied to sharding-capable schemes for the duration
-  // of the run_online() call (te::Scheme::set_shard_count convention; the
-  // scheme's own setting is restored afterwards): 0 leaves it untouched
-  // (auto by default for Teal — solve_batch composes the batch and shard
-  // axes itself: multi-matrix traces run as across-matrix fan-out with
-  // sequential inners, a single-matrix trace as one sharded solve).
-  int shard_count = 0;
-  // NN-forward precision for the run's solves, applied and restored the same
-  // way (ignored by schemes without narrowed support); nullopt leaves the
-  // scheme's own setting untouched, mirroring shard_count's 0. f32 trades a
-  // bounded allocation perturbation for the vectorized blocked forward;
-  // bf16 additionally halves the streamed weight storage at a larger,
-  // still-ledgered perturbation.
-  std::optional<te::Precision> precision;
 };
 
 struct IntervalResult {
@@ -74,7 +59,9 @@ struct OnlineResult {
 
 // Runs the control loop over `trace` (batched pass + replay for parallel
 // schemes, lazy loop otherwise — see above). The pre-existing routes before
-// the first solve completes are shortest-path routes.
+// the first solve completes are shortest-path routes. Solves run at the
+// scheme's own settings (Teal's shard count and precision live on
+// core::TealScheme).
 OnlineResult run_online(te::Scheme& scheme, const te::Problem& pb,
                         const traffic::Trace& trace, const OnlineConfig& cfg = {});
 

@@ -5,46 +5,6 @@
 
 namespace teal::sim {
 
-ServedResult run_served(const te::Problem& pb, const traffic::Trace& trace,
-                        std::vector<serve::ReplicaPtr> replicas, const ServedConfig& cfg) {
-  ServedResult res;
-  const std::size_t n = static_cast<std::size_t>(trace.size());
-  res.allocs.resize(n);
-  res.accepted.assign(n, 0);
-
-  serve::Server server(pb, std::move(replicas), cfg.serve);
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  for (std::size_t t = 0; t < n; ++t) {
-    if (cfg.arrival_interval_seconds > 0.0) {
-      // Open-loop: arrival t happens at start + t·interval whether or not
-      // earlier requests finished (no back-pressure on the arrival process).
-      const auto due = start + std::chrono::duration_cast<Clock::duration>(
-                                   std::chrono::duration<double>(
-                                       static_cast<double>(t) * cfg.arrival_interval_seconds));
-      std::this_thread::sleep_until(due);
-    }
-    res.accepted[t] =
-        server.submit(trace.at(static_cast<int>(t)), res.allocs[t]) ? 1 : 0;
-  }
-  server.drain();
-  res.stats = server.stop();
-  return res;
-}
-
-ServedResult run_served(te::Scheme& scheme, const te::Problem& pb,
-                        const traffic::Trace& trace, const ServedConfig& cfg,
-                        const serve::SchemeFactory& factory) {
-  // Precision is a scheme-level switch (weight snapshots, not per-solve
-  // state), so it must be set before the replica threads start (Server's
-  // constructor, inside the inner run_served) and restored only after they
-  // join — mid-run switching would race with the replicas' solves.
-  te::Scheme::ScopedPrecision precision_guard(scheme, cfg.precision);
-  return run_served(
-      pb, trace,
-      serve::make_replicas(scheme, cfg.n_replicas, factory, cfg.shard_count), cfg);
-}
-
 ServedFleetResult run_served_fleet(const std::vector<ServedTenant>& tenants,
                                    const ServedFleetConfig& cfg) {
   ServedFleetResult res;
@@ -61,7 +21,6 @@ ServedFleetResult run_served_fleet(const std::vector<ServedTenant>& tenants,
     tc.scheme = t.scheme;
     tc.factory = t.factory;
     tc.serve = cfg.serve;
-    tc.shard_count = cfg.shard_count;
     tc.offered_weight = t.offered_weight;
     tc.requested_replicas = t.requested_replicas;
     fleet.add_tenant(std::move(tc));

@@ -2,17 +2,25 @@
 //
 // sim::run_online is closed-loop: the control loop itself decides when the
 // next solve starts, so the scheme is never offered more work than it can
-// do. run_served is the complementary driver: requests *arrive* on a fixed
-// schedule (every arrival_interval_seconds, independent of completions —
-// the open-loop discipline of real serving benchmarks), the server's
-// admission control sheds what cannot meet the deadline, and the result
-// records which matrices got fresh allocations and at what latency. At
-// arrival interval 0 the whole trace is offered as one burst, which turns
-// the driver into a saturation/throughput harness — the mode the
-// serve_scaling bench sweeps replica counts with.
+// do. run_served_fleet is the complementary driver: requests *arrive* on a
+// fixed schedule (every arrival_interval_seconds, independent of
+// completions — the open-loop discipline of real serving benchmarks), each
+// tenant's admission control sheds what cannot meet the deadline, and the
+// result records which matrices got fresh allocations and at what latency.
+// At arrival interval 0 every trace is offered as one burst, which turns the
+// driver into a saturation/throughput harness — the mode the serve_scaling
+// bench sweeps replica counts with.
+//
+// Several (problem, trace, scheme) tenants replay through one serve::Fleet,
+// replicas split across them by the fleet's placement policy. Arrivals from
+// all tenants are merged onto one open-loop schedule, round-robin across
+// tenants that still have trace left — the simulated analogue of teal_slap's
+// weighted multi-tenant mix, minus the wire. A single-scheme replay is a
+// one-tenant fleet with the wanted replica count as `total_replicas`.
+// Solves run at each tenant scheme's own settings (Teal's shard count and
+// precision live on core::TealScheme), so tenants may differ in both.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "serve/fleet.h"
@@ -23,54 +31,6 @@
 
 namespace teal::sim {
 
-struct ServedConfig {
-  std::size_t n_replicas = 1;
-  // Open-loop spacing between request arrivals. 0 = burst (no pacing).
-  double arrival_interval_seconds = 0.0;
-  // Demand shards per replica solve (workspace replicas only): 0 = auto via
-  // the serving cost model (serve::pick_replica_shards — shards engage only
-  // when a lone replica would leave pool threads idle), 1 = sequential,
-  // n = exact. Bit-identical results for every value; latency-only knob.
-  int shard_count = 0;
-  // NN-forward precision for the served solves (applied via
-  // te::Scheme::set_precision before the replica threads start, restored
-  // after the run; ignored by schemes without narrowed support); nullopt
-  // leaves the scheme's own setting untouched, mirroring shard_count's 0.
-  // Unlike the shard knob this perturbs allocations within the tested
-  // per-precision (f32/bf16) error bound.
-  std::optional<te::Precision> precision;
-  serve::ServeConfig serve;
-};
-
-struct ServedResult {
-  // Index-aligned with the trace. Shed requests leave an empty Allocation
-  // and accepted[t] == false.
-  std::vector<te::Allocation> allocs;
-  std::vector<char> accepted;
-  serve::ServeStats stats;
-};
-
-// Replays `trace` through a Server built from `replicas` (one serving thread
-// each). Blocks until every accepted request completed.
-ServedResult run_served(const te::Problem& pb, const traffic::Trace& trace,
-                        std::vector<serve::ReplicaPtr> replicas, const ServedConfig& cfg);
-
-// Convenience overload: builds the replicas from the scheme's traits
-// (serve::make_replicas) — workspace replicas over a shared TealScheme, or
-// one instance per replica via `factory` for the LP baselines.
-ServedResult run_served(te::Scheme& scheme, const te::Problem& pb,
-                        const traffic::Trace& trace, const ServedConfig& cfg,
-                        const serve::SchemeFactory& factory = nullptr);
-
-// ---- Fleet replay -----------------------------------------------------------
-//
-// Multi-tenant counterpart of run_served: several (problem, trace, scheme)
-// slices replayed through one serve::Fleet, replicas split across tenants by
-// the fleet's placement policy. Arrivals from all tenants are merged onto one
-// open-loop schedule, round-robin across tenants that still have trace left —
-// the simulated analogue of teal_slap's weighted multi-tenant mix, minus the
-// wire.
-
 // One tenant's slice of the replay. `pb`, `trace` and `scheme` must outlive
 // the call; `factory` follows the serve::make_replicas contract for non-warm
 // schemes.
@@ -79,7 +39,7 @@ struct ServedTenant {
   const te::Problem* pb = nullptr;
   const traffic::Trace* trace = nullptr;
   te::Scheme* scheme = nullptr;
-  serve::SchemeFactory factory;
+  serve::SchemeFactory factory = nullptr;
   double offered_weight = 1.0;         // placement demand signal
   std::size_t requested_replicas = 0;  // static-policy count
 };
@@ -93,13 +53,12 @@ struct ServedFleetConfig {
   // Open-loop spacing between merged arrivals (across all tenants).
   // 0 = burst.
   double arrival_interval_seconds = 0.0;
-  int shard_count = 0;       // per-replica inner shards (see ServedConfig)
   serve::ServeConfig serve;  // applied to every tenant's server
 };
 
 struct ServedFleetResult {
-  // Index-aligned with the corresponding tenant's trace, same contract as
-  // ServedResult (shed requests leave an empty Allocation, accepted == 0).
+  // Index-aligned with the corresponding tenant's trace. Shed requests leave
+  // an empty Allocation and accepted[t] == 0.
   struct Tenant {
     std::vector<te::Allocation> allocs;
     std::vector<char> accepted;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -52,11 +51,12 @@ struct BatchSolve {
   double wall_seconds = 0.0;
 };
 
-// Numeric precision of a scheme's NN forward pass (the set_precision knob).
-// f64 is the reference everywhere; f32 mirrors the paper's fp32 GPU
-// inference — only the neural forward narrows, the ADMM fine-tune and every
-// reduction stay double, so the flow-allocation error is bounded by logit
-// rounding alone (tests/precision_test.cpp measures the bound per topology).
+// Numeric precision of Teal's NN forward pass (core::TealScheme::set_precision;
+// every other scheme is f64-only). f64 is the reference everywhere; f32
+// mirrors the paper's fp32 GPU inference — only the neural forward narrows,
+// the ADMM fine-tune and every reduction stay double, so the flow-allocation
+// error is bounded by logit rounding alone (tests/precision_test.cpp
+// measures the bound per topology).
 // bf16 narrows only the *stored weights* one step further (f32 -> bf16 with
 // round-to-nearest-even at snapshot time, widened back to f32 in the kernel
 // inner loop): activations, bias and every accumulation stay f32, so it is
@@ -102,60 +102,6 @@ class Scheme {
   // schemes it keeps the lazy control loop and only computes the solves
   // that would really start (no wasted work).
   virtual bool supports_parallel_batch() const { return false; }
-
-  // True when the scheme can parallelize a *single* solve across demand
-  // shards (core::ShardPlan). Orthogonal to supports_parallel_batch:
-  // batching raises throughput across matrices, sharding cuts the latency
-  // of one solve on one huge matrix. Sharded results must be bit-identical
-  // to the sequential solve for every shard count.
-  virtual bool supports_demand_sharding() const { return false; }
-
-  // Shard-count knob for demand-sharding schemes: 0 = auto (the
-  // core::auto_shard_count cost model against the threads available to the
-  // calling context), 1 = sequential, n = exactly n shards (clamped to the
-  // demand count). A pure latency knob — results never change. Default:
-  // ignored by schemes without sharding support.
-  virtual void set_shard_count(int /*n*/) {}
-  virtual int shard_count() const { return 1; }
-
-  // True when the scheme can run its solve at precision `p`. LP baselines
-  // are f64-only; TealScheme also supports f32 and bf16 (narrowed NN
-  // forward).
-  virtual bool supports_precision(Precision p) const { return p == Precision::f64; }
-
-  // Precision knob, mirroring the shard knob's conventions: callers check
-  // supports_precision() first; schemes without f32 support ignore the call.
-  // Unlike the shard knob this is NOT a pure latency knob — f32 perturbs the
-  // allocation within the tested error bound — and switching precision may
-  // do one-time work (weight snapshots), so it must not race with concurrent
-  // solves: set it before serving/batching starts.
-  virtual void set_precision(Precision /*p*/) {}
-  virtual Precision precision() const { return Precision::f64; }
-
-  // Scoped apply/restore of the precision knob, shared by the run drivers
-  // (sim::run_online, sim::run_served): engages only when `p` is set,
-  // differs from the scheme's current setting and is supported; restores the
-  // previous setting on destruction. The scheme must outlive the scope and
-  // must not solve concurrently at the moments of apply/restore.
-  class ScopedPrecision {
-   public:
-    ScopedPrecision(Scheme& scheme, std::optional<Precision> p) {
-      if (p.has_value() && *p != scheme.precision() && scheme.supports_precision(*p)) {
-        scheme_ = &scheme;
-        prev_ = scheme.precision();
-        scheme.set_precision(*p);
-      }
-    }
-    ~ScopedPrecision() {
-      if (scheme_ != nullptr) scheme_->set_precision(prev_);
-    }
-    ScopedPrecision(const ScopedPrecision&) = delete;
-    ScopedPrecision& operator=(const ScopedPrecision&) = delete;
-
-   private:
-    Scheme* scheme_ = nullptr;
-    Precision prev_ = Precision::f64;
-  };
 
   // Called when link capacities change (failures §5.3). Default: nothing —
   // most schemes read capacities from the Problem on each solve.

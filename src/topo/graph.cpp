@@ -1,8 +1,18 @@
 #include "topo/graph.h"
 
+#include <cmath>
 #include <queue>
 
 namespace teal::topo {
+
+namespace {
+
+// Capacities, latencies and scale factors must be finite and non-negative:
+// a bare `x < 0.0` test lets NaN through, and one NaN capacity poisons every
+// solve that reads it.
+bool finite_non_negative(double x) { return std::isfinite(x) && x >= 0.0; }
+
+}  // namespace
 
 NodeId Graph::add_node() {
   out_.emplace_back();
@@ -18,8 +28,12 @@ EdgeId Graph::add_edge(NodeId src, NodeId dst, double capacity, double latency) 
   check_node(src);
   check_node(dst);
   if (src == dst) throw std::invalid_argument("Graph::add_edge: self loop");
-  if (capacity < 0.0) throw std::invalid_argument("Graph::add_edge: negative capacity");
-  if (latency < 0.0) throw std::invalid_argument("Graph::add_edge: negative latency");
+  if (!finite_non_negative(capacity)) {
+    throw std::invalid_argument("Graph::add_edge: capacity must be finite and >= 0");
+  }
+  if (!finite_non_negative(latency)) {
+    throw std::invalid_argument("Graph::add_edge: latency must be finite and >= 0");
+  }
   EdgeId id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{src, dst, capacity, latency});
   out_[static_cast<std::size_t>(src)].push_back(id);
@@ -43,12 +57,16 @@ EdgeId Graph::find_edge(NodeId src, NodeId dst) const {
 }
 
 void Graph::set_capacity(EdgeId e, double capacity) {
-  if (capacity < 0.0) throw std::invalid_argument("Graph::set_capacity: negative");
+  if (!finite_non_negative(capacity)) {
+    throw std::invalid_argument("Graph::set_capacity: capacity must be finite and >= 0");
+  }
   edges_.at(static_cast<std::size_t>(e)).capacity = capacity;
 }
 
 void Graph::scale_capacities(double factor) {
-  if (factor < 0.0) throw std::invalid_argument("Graph::scale_capacities: negative");
+  if (!finite_non_negative(factor)) {
+    throw std::invalid_argument("Graph::scale_capacities: factor must be finite and >= 0");
+  }
   for (auto& e : edges_) e.capacity *= factor;
 }
 

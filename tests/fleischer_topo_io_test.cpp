@@ -3,6 +3,7 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "lp/fleischer.h"
 #include "lp/path_lp.h"
@@ -121,6 +122,13 @@ TEST(TopoIo, RejectsMalformedInput) {
   {
     std::stringstream ss("nodes 2\nfrobnicate\n");  // unknown directive
     EXPECT_THROW(topo::load_topology(ss), std::runtime_error);
+  }
+  // Non-finite capacity or latency tokens do not parse as a double, so the
+  // edge is malformed before it can reach Graph::add_edge.
+  for (const char* edge : {"edge 0 1 nan 1.0", "edge 0 1 inf 1.0", "edge 0 1 1.0 nan",
+                           "edge 0 1 1.0 -inf"}) {
+    std::stringstream ss(std::string("nodes 2\n") + edge + "\n");
+    EXPECT_THROW(topo::load_topology(ss), std::runtime_error) << edge;
   }
   EXPECT_THROW(topo::load_topology_file("/nonexistent/t.txt"), std::runtime_error);
 }

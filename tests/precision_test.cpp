@@ -12,11 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "baselines/lp_schemes.h"
 #include "core/teal_scheme.h"
 #include "core/variants.h"
 #include "nn/mat.h"
-#include "sim/online.h"
 #include "sim/served.h"
 #include "te/objective.h"
 #include "topo/topology.h"
@@ -219,16 +217,6 @@ TEST(Precision, KnobSemantics) {
   EXPECT_TRUE(scheme.supports_precision(te::Precision::bf16));
   EXPECT_EQ(scheme.precision(), te::Precision::f64);
 
-  // LP baselines are f64-only and ignore the knob.
-  baselines::LpAllScheme lp_all;
-  EXPECT_TRUE(lp_all.supports_precision(te::Precision::f64));
-  EXPECT_FALSE(lp_all.supports_precision(te::Precision::f32));
-  EXPECT_FALSE(lp_all.supports_precision(te::Precision::bf16));
-  lp_all.set_precision(te::Precision::f32);
-  EXPECT_EQ(lp_all.precision(), te::Precision::f64);
-  lp_all.set_precision(te::Precision::bf16);
-  EXPECT_EQ(lp_all.precision(), te::Precision::f64);
-
   EXPECT_STREQ(te::precision_name(te::Precision::f32), "f32");
   EXPECT_STREQ(te::precision_name(te::Precision::f64), "f64");
   EXPECT_STREQ(te::precision_name(te::Precision::bf16), "bf16");
@@ -237,103 +225,70 @@ TEST(Precision, KnobSemantics) {
 TEST(Precision, SchemeOverVariantModelReportsNoF32) {
   // Regression: a TealScheme wrapping a Figure 14 ablation model (no
   // narrowed forward) must not claim f32 support — otherwise an f32-vs-f64
-  // comparison against it would silently measure f64 twice. set_precision
-  // follows the knob contract: unsupported values are ignored, so
-  // precision() stays honest about what solves actually run.
+  // comparison against it would silently measure f64 twice. Asked for a
+  // precision its model cannot run, set_precision throws (as publish_model
+  // does for the same mismatch) and precision() stays honest about what
+  // solves actually run.
   auto inst = make_small("B4", 30);
   core::TealScheme scheme(
       inst.pb, std::make_unique<core::NaiveDnnModel>(core::NaiveDnnConfig{}, inst.pb),
       core::TealSchemeConfig{}, "Teal-DNN");
   EXPECT_FALSE(scheme.supports_precision(te::Precision::f32));
   EXPECT_FALSE(scheme.supports_precision(te::Precision::bf16));
-  scheme.set_precision(te::Precision::f32);
+  EXPECT_THROW(scheme.set_precision(te::Precision::f32), std::invalid_argument);
   EXPECT_EQ(scheme.precision(), te::Precision::f64);
-  scheme.set_precision(te::Precision::bf16);
+  EXPECT_THROW(scheme.set_precision(te::Precision::bf16), std::invalid_argument);
   EXPECT_EQ(scheme.precision(), te::Precision::f64);
   EXPECT_NO_THROW(scheme.solve(inst.pb, inst.tm));
 }
 
-TEST(Precision, OnlineConfigAppliesAndRestoresPrecision) {
-  // The config knob is scoped: the run executes at f32, the scheme's own
-  // setting comes back afterwards (same discipline as the shard knob).
-  auto g = topo::make_b4();
-  auto demands = traffic::sample_demands(g, 30, 7);
-  te::Problem pb(std::move(g), std::move(demands), 4);
-  traffic::TraceConfig tc;
-  tc.n_intervals = 3;
-  auto trace = traffic::generate_trace(pb, tc);
-  auto scheme = make_untrained(pb);
+TEST(Precision, FleetTenantsServeAtTheirOwnSchemesPrecision) {
+  // Precision is a per-scheme setting, so two tenants of one fleet replay
+  // can run at different precisions: B4 at f32 beside SWAN at bf16. Each
+  // tenant's served allocations must be byte-equal to its own scheme's
+  // direct solve at that precision (same narrowed path through a replica
+  // workspace).
+  auto trace_of = [](const te::Problem& pb) {
+    traffic::TraceConfig tc;
+    tc.n_intervals = 4;
+    return traffic::generate_trace(pb, tc);
+  };
+  auto b4 = make_small("B4", 30);
+  auto swan = make_small("SWAN", 60);
+  const traffic::Trace b4_trace = trace_of(b4.pb);
+  const traffic::Trace swan_trace = trace_of(swan.pb);
+  auto b4_scheme = make_untrained(b4.pb);
+  auto swan_scheme = make_untrained(swan.pb);
+  b4_scheme.set_precision(te::Precision::f32);
+  swan_scheme.set_precision(te::Precision::bf16);
 
-  sim::OnlineConfig cfg;
-  cfg.precision = te::Precision::f32;
-  auto res = sim::run_online(scheme, pb, trace, cfg);
-  EXPECT_EQ(static_cast<int>(res.intervals.size()), trace.size());
-  EXPECT_EQ(scheme.precision(), te::Precision::f64) << "knob must be restored";
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = 2;
+  cfg.serve.queue_capacity = 8;
+  const auto res = sim::run_served_fleet(
+      {{.name = "B4", .pb = &b4.pb, .trace = &b4_trace, .scheme = &b4_scheme},
+       {.name = "SWAN", .pb = &swan.pb, .trace = &swan_trace, .scheme = &swan_scheme}},
+      cfg);
+  ASSERT_EQ(res.tenants.size(), 2u);
 
-  // Default config leaves a scheme-level f32 setting untouched.
-  scheme.set_precision(te::Precision::f32);
-  (void)sim::run_online(scheme, pb, trace, sim::OnlineConfig{});
-  EXPECT_EQ(scheme.precision(), te::Precision::f32);
-}
-
-TEST(Precision, ServedConfigAppliesAndRestoresPrecision) {
-  auto g = topo::make_b4();
-  auto demands = traffic::sample_demands(g, 30, 7);
-  te::Problem pb(std::move(g), std::move(demands), 4);
-  traffic::TraceConfig tc;
-  tc.n_intervals = 4;
-  auto trace = traffic::generate_trace(pb, tc);
-  auto scheme = make_untrained(pb);
-
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 1;
-  cfg.precision = te::Precision::f32;
-  auto res = sim::run_served(scheme, pb, trace, cfg);
-  EXPECT_EQ(res.stats.completed, res.stats.accepted);
-  EXPECT_EQ(scheme.precision(), te::Precision::f64) << "knob must be restored";
-
-  // The served f32 allocations match a direct f32 solve (same narrowed
-  // path through a replica workspace).
-  scheme.set_precision(te::Precision::f32);
-  for (int t = 0; t < trace.size(); ++t) {
-    if (res.accepted[static_cast<std::size_t>(t)] == 0) continue;
-    te::Allocation direct = scheme.solve(pb, trace.at(t));
-    EXPECT_TRUE(bytes_equal(direct, res.allocs[static_cast<std::size_t>(t)]));
-  }
-}
-
-TEST(Precision, OnlineAndServedConfigsPlumbBf16) {
-  // The scoped-precision discipline of the PR 4 f32 knob carries to bf16
-  // unchanged: the run executes narrowed, the scheme's own setting returns.
-  auto g = topo::make_b4();
-  auto demands = traffic::sample_demands(g, 30, 7);
-  te::Problem pb(std::move(g), std::move(demands), 4);
-  traffic::TraceConfig tc;
-  tc.n_intervals = 3;
-  auto trace = traffic::generate_trace(pb, tc);
-  auto scheme = make_untrained(pb);
-
-  sim::OnlineConfig ocfg;
-  ocfg.precision = te::Precision::bf16;
-  auto ores = sim::run_online(scheme, pb, trace, ocfg);
-  EXPECT_EQ(static_cast<int>(ores.intervals.size()), trace.size());
-  EXPECT_EQ(scheme.precision(), te::Precision::f64) << "knob must be restored";
-
-  sim::ServedConfig scfg;
-  scfg.n_replicas = 1;
-  scfg.precision = te::Precision::bf16;
-  auto sres = sim::run_served(scheme, pb, trace, scfg);
-  EXPECT_EQ(sres.stats.completed, sres.stats.accepted);
-  EXPECT_EQ(scheme.precision(), te::Precision::f64) << "knob must be restored";
-
-  // Served bf16 allocations match a direct bf16 solve through the same
-  // narrowed path.
-  scheme.set_precision(te::Precision::bf16);
-  for (int t = 0; t < trace.size(); ++t) {
-    if (sres.accepted[static_cast<std::size_t>(t)] == 0) continue;
-    te::Allocation direct = scheme.solve(pb, trace.at(t));
-    EXPECT_TRUE(bytes_equal(direct, sres.allocs[static_cast<std::size_t>(t)]));
-  }
+  auto expect_served_at = [&](te::Precision narrowed, std::size_t i, core::TealScheme& scheme,
+                              const te::Problem& pb, const traffic::Trace& trace) {
+    SCOPED_TRACE(res.stats.tenants[i].name);
+    ASSERT_EQ(scheme.precision(), narrowed) << "the replay changed the scheme's setting";
+    EXPECT_EQ(res.stats.tenants[i].serve.completed, res.stats.tenants[i].serve.accepted);
+    bool differs_from_f64 = false;
+    for (int t = 0; t < trace.size(); ++t) {
+      const auto k = static_cast<std::size_t>(t);
+      ASSERT_TRUE(res.tenants[i].accepted[k]);  // queue holds the trace: no shed
+      EXPECT_TRUE(bytes_equal(scheme.solve(pb, trace.at(t)), res.tenants[i].allocs[k]));
+      scheme.set_precision(te::Precision::f64);
+      differs_from_f64 |= !bytes_equal(scheme.solve(pb, trace.at(t)), res.tenants[i].allocs[k]);
+      scheme.set_precision(narrowed);
+    }
+    EXPECT_TRUE(differs_from_f64) << "tenant served f64, not " << te::precision_name(narrowed);
+  };
+  expect_served_at(te::Precision::f32, 0, b4_scheme, b4.pb, b4_trace);
+  expect_served_at(te::Precision::bf16, 1, swan_scheme, swan.pb, swan_trace);
 }
 
 TEST(Precision, WarmNarrowedSolvesAllocateNothing) {

@@ -700,8 +700,8 @@ TEST(ScenarioDriver, RunScenarioBalancesLedgerAndRestoresCapacities) {
   const auto caps_before = sc.pb.capacities();
 
   auto scheme = make_teal(sc.pb);
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 1;
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = 1;
   cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
   const auto res = scenario::run_scenario(scheme, sc, cfg);
 
@@ -730,8 +730,8 @@ TEST(ScenarioDriver, RollingFailureReplayBitIdenticalAcrossReplicaCounts) {
 
   std::vector<scenario::ScenarioRunResult> runs;
   for (std::size_t replicas : {1u, 2u, 3u}) {
-    sim::ServedConfig cfg;
-    cfg.n_replicas = replicas;
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = replicas;
     cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
     runs.push_back(scenario::run_scenario(scheme, sc, cfg));
   }
@@ -777,8 +777,8 @@ TEST(ScenarioDriver, PostRepairEpochsMatchNoFailureRun) {
   const int t_fail = 2, t_repair = 6;
   failing.failures = {{t_fail, true, fwd, rev}, {t_repair, false, fwd, rev}};
 
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 1;
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = 1;
   cfg.serve.queue_capacity = static_cast<std::size_t>(plain.trace.size());
   auto run = [&](scenario::Scenario& sc) {
     auto scheme = scenario::make_cold_scheme("LP-all", sc.pb);
@@ -823,9 +823,9 @@ TEST(ScenarioDriver, TwiceAsnScaleShardAndReplicaBitIdentity) {
 
   auto scheme = make_teal(sc.pb);
   auto run = [&](std::size_t replicas, int shards) {
-    sim::ServedConfig cfg;
-    cfg.n_replicas = replicas;
-    cfg.shard_count = shards;
+    scheme.set_shard_count(shards);  // read by each replica at construction
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = replicas;
     cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
     return scenario::run_scenario(scheme, sc, cfg);
   };
@@ -867,8 +867,8 @@ TEST(ScenarioDriver, FleetReplayMatchesSingleTenantRunsBitIdentically) {
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     auto& sc = scenarios[i];
     auto scheme = make_teal(sc.pb);
-    sim::ServedConfig cfg;
-    cfg.n_replicas = 1;
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = 1;
     cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
     const auto solo = scenario::run_scenario(scheme, sc, cfg);
     const auto& tenant = fleet.served.tenants[i];

@@ -67,37 +67,48 @@ void expect_ledger_balanced(const serve::ServeStats& s) {
   EXPECT_EQ(per_replica, s.completed);
 }
 
+// One-tenant replay of the whole trace over `replicas` replicas, queue sized
+// to the trace so nothing sheds.
+sim::ServedFleetResult serve_trace(const Setup& s, te::Scheme& scheme, std::size_t replicas,
+                                   serve::SchemeFactory factory = nullptr) {
+  sim::ServedFleetConfig cfg;
+  cfg.total_replicas = replicas;
+  cfg.serve.queue_capacity = static_cast<std::size_t>(s.trace.size());
+  return sim::run_served_fleet(
+      {{.name = "B4", .pb = &s.pb, .trace = &s.trace, .scheme = &scheme,
+        .factory = std::move(factory)}},
+      cfg);
+}
+
 TEST(Serve, ServedResultsMatchSequentialTeal) {
   auto s = b4_setup();
   auto scheme = make_teal(s.pb);
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 3;
-  cfg.serve.queue_capacity = static_cast<std::size_t>(s.trace.size());
-  auto res = sim::run_served(scheme, s.pb, s.trace, cfg);
-  ASSERT_EQ(static_cast<int>(res.allocs.size()), s.trace.size());
-  expect_ledger_balanced(res.stats);
-  EXPECT_EQ(res.stats.shed, 0u);
-  ASSERT_EQ(res.stats.replicas.size(), 3u);
+  const auto res = serve_trace(s, scheme, 3);
+  const auto& allocs = res.tenants[0].allocs;
+  const auto& stats = res.stats.tenants[0].serve;
+  ASSERT_EQ(static_cast<int>(allocs.size()), s.trace.size());
+  expect_ledger_balanced(stats);
+  EXPECT_EQ(stats.shed, 0u);
+  ASSERT_EQ(stats.replicas.size(), 3u);
   for (int t = 0; t < s.trace.size(); ++t) {
-    EXPECT_TRUE(res.accepted[static_cast<std::size_t>(t)]);
+    EXPECT_TRUE(res.tenants[0].accepted[static_cast<std::size_t>(t)]);
     auto seq = scheme.solve(s.pb, s.trace.at(t));
-    expect_bit_identical(seq, res.allocs[static_cast<std::size_t>(t)]);
+    expect_bit_identical(seq, allocs[static_cast<std::size_t>(t)]);
   }
 }
 
 TEST(Serve, ServedResultsMatchSequentialLpViaFactory) {
   auto s = b4_setup();
   baselines::LpAllScheme reference;
-  sim::ServedConfig cfg;
-  cfg.n_replicas = 2;
-  cfg.serve.queue_capacity = static_cast<std::size_t>(s.trace.size());
-  auto res = sim::run_served(reference, s.pb, s.trace, cfg,
-                             [] { return std::make_unique<baselines::LpAllScheme>(); });
-  expect_ledger_balanced(res.stats);
-  EXPECT_EQ(res.stats.shed, 0u);
+  const auto res = serve_trace(s, reference, 2,
+                               [] { return std::make_unique<baselines::LpAllScheme>(); });
+  const auto& stats = res.stats.tenants[0].serve;
+  expect_ledger_balanced(stats);
+  EXPECT_EQ(stats.shed, 0u);
+  ASSERT_EQ(stats.replicas.size(), 2u);
   for (int t = 0; t < s.trace.size(); ++t) {
     auto seq = reference.solve(s.pb, s.trace.at(t));
-    expect_bit_identical(seq, res.allocs[static_cast<std::size_t>(t)]);
+    expect_bit_identical(seq, res.tenants[0].allocs[static_cast<std::size_t>(t)]);
   }
 }
 

@@ -186,7 +186,6 @@ TEST(Shard, EmptyDemandRowsAtShardBoundaries) {
 TEST(Shard, SchemeKnobAndTraits) {
   auto s = topo_setup("B4");
   auto scheme = make_teal(s.pb);
-  EXPECT_TRUE(scheme.supports_demand_sharding());
   EXPECT_EQ(scheme.shard_count(), 0) << "default is auto";
 
   auto auto_alloc = scheme.solve(s.pb, s.trace.at(0));
@@ -213,16 +212,19 @@ TEST(Shard, ServedShardedMatchesSequential) {
   auto s = topo_setup("B4");
   auto scheme = make_teal(s.pb);
   for (int shard_count : {0, 4}) {  // auto and explicit
-    sim::ServedConfig cfg;
-    cfg.n_replicas = 1;
-    cfg.shard_count = shard_count;
+    // The one replica reads the scheme's setting at construction.
+    scheme.set_shard_count(shard_count);
+    sim::ServedFleetConfig cfg;
+    cfg.total_replicas = 1;
     cfg.serve.queue_capacity = static_cast<std::size_t>(s.trace.size());
-    auto res = sim::run_served(scheme, s.pb, s.trace, cfg);
-    EXPECT_EQ(res.stats.shed, 0u);
+    const auto res = sim::run_served_fleet(
+        {{.name = "B4", .pb = &s.pb, .trace = &s.trace, .scheme = &scheme}}, cfg);
+    EXPECT_EQ(res.stats.tenants[0].serve.shed, 0u);
+    scheme.set_shard_count(1);
     for (int t = 0; t < s.trace.size(); ++t) {
-      ASSERT_TRUE(res.accepted[static_cast<std::size_t>(t)]);
+      ASSERT_TRUE(res.tenants[0].accepted[static_cast<std::size_t>(t)]);
       auto seq = scheme.solve(s.pb, s.trace.at(t));
-      expect_bit_identical(seq, res.allocs[static_cast<std::size_t>(t)],
+      expect_bit_identical(seq, res.tenants[0].allocs[static_cast<std::size_t>(t)],
                            "served shard_count=" + std::to_string(shard_count));
     }
   }

@@ -1,6 +1,7 @@
 // Tests for the online control-loop simulator and failure-reaction harness.
 #include <gtest/gtest.h>
 
+#include "core/teal_scheme.h"
 #include "sim/online.h"
 #include "topo/topology.h"
 #include "traffic/traffic.h"
@@ -86,6 +87,31 @@ TEST(Online, StaleRoutesBlendInsideInterval) {
   auto res = sim::run_online(half, s.pb, s.trace, cfg);
   double pure = te::satisfied_demand_pct(s.pb, s.trace.at(0), s.pb.shortest_path_allocation());
   EXPECT_NEAR(res.intervals[0].satisfied_pct, pure, 1e-9);
+}
+
+TEST(Online, TealBatchedPassMatchesSequentialSolvesAtTheSchemesSettings) {
+  // A parallel-batch scheme (Teal) solves the whole trace in one
+  // solve_batch fanned over the pool, at the scheme's own precision; the
+  // replay over those allocations must equal the replay over sequential
+  // solve() calls at the same settings. Untrained model: the contract is
+  // training-independent.
+  auto s = b4_setup();
+  core::TealScheme teal(
+      s.pb, std::make_unique<core::TealModel>(core::TealModelConfig{}, s.pb.k_paths()),
+      core::TealSchemeConfig{});
+  teal.set_precision(te::Precision::f32);
+  teal.set_shard_count(2);  // a single-solve setting; bit-identical either way
+  const auto res = sim::run_online(teal, s.pb, s.trace, {});
+  ASSERT_EQ(res.solve_times.size(), static_cast<std::size_t>(s.trace.size()));
+
+  std::vector<te::Allocation> sequential;
+  for (int t = 0; t < s.trace.size(); ++t) sequential.push_back(teal.solve(s.pb, s.trace.at(t)));
+  const auto ref = sim::replay_online(s.pb, s.trace, sequential, res.solve_times);
+  for (std::size_t t = 0; t < res.intervals.size(); ++t) {
+    EXPECT_EQ(res.intervals[t].satisfied_pct, ref.intervals[t].satisfied_pct) << "t=" << t;
+  }
+  EXPECT_EQ(teal.precision(), te::Precision::f32);
+  EXPECT_EQ(teal.shard_count(), 2);
 }
 
 TEST(Failures, SampleFailsBothDirections) {

@@ -2,6 +2,7 @@
 // generators (Table 1 counts), statistics (Table 3 / Fig 17).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "topo/graph.h"
@@ -52,11 +53,30 @@ TEST(Graph, RejectsInvalidEdges) {
   EXPECT_THROW(g.add_edge(0, 0, 1.0), std::invalid_argument);
   EXPECT_THROW(g.add_edge(0, 5, 1.0), std::out_of_range);
   EXPECT_THROW(g.add_edge(0, 1, -1.0), std::invalid_argument);
+  // NaN slips past a bare `< 0` test; infinities are no capacity a solve can use.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(g.add_edge(0, 1, nan), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, inf), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, 1.0, nan), std::invalid_argument);
+  EXPECT_THROW(g.add_edge(0, 1, 1.0, -1.0), std::invalid_argument);
+  EXPECT_EQ(g.num_edges(), 0);
+  const topo::EdgeId e = g.add_edge(0, 1, 1.0);
+  EXPECT_THROW(g.set_capacity(e, nan), std::invalid_argument);
+  EXPECT_THROW(g.set_capacity(e, inf), std::invalid_argument);
+  EXPECT_THROW(g.set_capacity(e, -1.0), std::invalid_argument);
+  EXPECT_EQ(g.capacity(e), 1.0);
 }
 
 TEST(Graph, ScaleCapacities) {
   topo::Graph g = diamond();
   g.scale_capacities(0.5);
+  for (const auto& e : g.edges()) EXPECT_DOUBLE_EQ(e.capacity, 5.0);
+  EXPECT_THROW(g.scale_capacities(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(g.scale_capacities(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(g.scale_capacities(-1.0), std::invalid_argument);
   for (const auto& e : g.edges()) EXPECT_DOUBLE_EQ(e.capacity, 5.0);
 }
 

@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
 
     if (do_run) {
       auto scheme = scenario::make_cold_scheme(scheme_name, sc.pb);
-      sim::ServedConfig cfg;
-      cfg.n_replicas = replicas;
+      sim::ServedFleetConfig cfg;
+      cfg.total_replicas = replicas;
       cfg.serve.queue_capacity = static_cast<std::size_t>(sc.trace.size());
       auto res = scenario::run_scenario(
           *scheme, sc, cfg, scenario::cold_scheme_factory(scheme_name, sc.pb));
