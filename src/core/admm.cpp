@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "te/objective.h"
-#include "util/thread_pool.h"
 
 namespace teal::core {
 
@@ -25,30 +24,18 @@ int default_admm_iterations(int n_nodes) { return n_nodes < 100 ? 2 : 5; }
 
 Admm::Admm(const te::Problem& pb, AdmmConfig cfg) : pb_(pb), cfg_(std::move(cfg)) {
   const int np = pb.total_paths();
-  const int ne = pb.graph().num_edges();
   z_offset_.resize(static_cast<std::size_t>(np) + 1, 0);
-  edge_begin_.assign(static_cast<std::size_t>(ne) + 1, 0);
+  edge_count_.assign(static_cast<std::size_t>(pb.graph().num_edges()), 0);
   for (int p = 0; p < np; ++p) {
     z_offset_[static_cast<std::size_t>(p) + 1] =
         z_offset_[static_cast<std::size_t>(p)] +
         static_cast<int>(pb.path_edges(p).size());
-    for (topo::EdgeId e : pb.path_edges(p)) ++edge_begin_[static_cast<std::size_t>(e) + 1];
   }
-  for (int e = 0; e < ne; ++e) {
-    edge_begin_[static_cast<std::size_t>(e) + 1] += edge_begin_[static_cast<std::size_t>(e)];
-  }
-  // Filling edges in ascending path order keeps every edge's slots in the
-  // order its sums have always been taken in.
-  const auto nz = static_cast<std::size_t>(z_offset_.back());
-  inc_path_.resize(nz);
-  slot_.resize(nz);
-  std::vector<int> next(edge_begin_.begin(), edge_begin_.end() - 1);
+  edge_of_.reserve(static_cast<std::size_t>(z_offset_.back()));
   for (int p = 0; p < np; ++p) {
-    int zi = z_offset_[static_cast<std::size_t>(p)];
     for (topo::EdgeId e : pb.path_edges(p)) {
-      const int s = next[static_cast<std::size_t>(e)]++;
-      inc_path_[static_cast<std::size_t>(s)] = p;
-      slot_[static_cast<std::size_t>(zi++)] = s;
+      edge_of_.push_back(e);
+      ++edge_count_[static_cast<std::size_t>(e)];
     }
   }
 }
@@ -77,7 +64,6 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
   const int np = pb_.total_paths();
   const int nz = z_offset_.back();
   const double rho = cfg_.rho;
-  auto& pool = util::ThreadPool::global();
 
   // Normalize volumes/capacities by the mean capacity so rho=1 is a sensible
   // penalty on every topology.
@@ -102,7 +88,7 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
 
   // Per-path state carried between the stages: the flow x * vol, and the
   // path's l4 and z summed over its edges in path order. z and l4 are held
-  // fixed through an F-update, so the sums are gathered once per iteration
+  // fixed through an F-update, so the sums are taken once per iteration
   // rather than once per coordinate sweep.
   auto& flow = ws.flow;
   auto& sum_l4 = ws.sum_l4;
@@ -120,10 +106,25 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
     sum_z[ps] = sz;
   }
 
+  // Ordered path-major scatter: acc[e] = the sum of term(p, zi) over the
+  // incidences of edge e. Paths are visited in ascending order, so every
+  // edge adds its terms in ascending path order, as the reference
+  // (tests/reference_solve.h) does. It reduces across demands, so it runs on
+  // the calling thread and is bit-identical for every shard plan.
+  auto scatter = [&](util::AVec<double>& acc, auto term) {
+    std::fill(acc.begin(), acc.end(), 0.0);
+    for (int p = 0; p < np; ++p) {
+      const auto ps = static_cast<std::size_t>(p);
+      for (int zi = z_offset_[ps]; zi < z_offset_[ps + 1]; ++zi) {
+        acc[static_cast<std::size_t>(edge_of_[static_cast<std::size_t>(zi)])] += term(ps, zi);
+      }
+    }
+  };
+
   // Total constraint violation of the current x (whose flow is current):
-  // demand overshoot plus per-edge load over capacity. Each edge's load sums
-  // its slots, which are in path order.
-  auto violation = [&] {
+  // demand overshoot plus per-edge load over capacity. The per-edge loads
+  // are left in `load`.
+  auto violation = [&](util::AVec<double>& load) {
     double v = 0.0;
     for (int d = 0; d < nd; ++d) {
       double sum = 0.0;
@@ -132,28 +133,22 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
       }
       v += std::max(0.0, sum - 1.0);
     }
+    scatter(load, [&](std::size_t ps, int /*zi*/) { return flow[ps]; });
     for (int e = 0; e < ne; ++e) {
-      double load = 0.0;
-      for (int s = edge_begin_[static_cast<std::size_t>(e)];
-           s < edge_begin_[static_cast<std::size_t>(e) + 1]; ++s) {
-        load += flow[static_cast<std::size_t>(inc_path_[static_cast<std::size_t>(s)])];
-      }
-      v += std::max(0.0, load - cap[static_cast<std::size_t>(e)]);
+      v += std::max(0.0, load[static_cast<std::size_t>(e)] - cap[static_cast<std::size_t>(e)]);
     }
     return v;
   };
 
+  // z starts at the flows, so each edge's first sum of z is its load.
+  auto& z_sum = ws.z_sum;
+  resize_unspecified(z_sum, static_cast<std::size_t>(ne));
   Residuals res;
-  res.before = violation();
+  res.before = violation(z_sum);
 
-  // z and l4 are stored edge-major, so the per-edge pass streams them.
-  auto& z = ws.z;
-  resize_unspecified(z, static_cast<std::size_t>(nz));
+  // l4 is stored path-major, so the path pass streams it.
   auto& l4 = ws.l4;
   l4.assign(static_cast<std::size_t>(nz), 0.0);
-  for (std::size_t s = 0; s < z.size(); ++s) {
-    z[s] = flow[static_cast<std::size_t>(inc_path_[s])];
-  }
   auto& s1 = ws.s1;
   s1.resize(static_cast<std::size_t>(nd));
   auto& l1 = ws.l1;
@@ -168,24 +163,14 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
     x_sum[static_cast<std::size_t>(d)] = sum;
     s1[static_cast<std::size_t>(d)] = std::max(0.0, 1.0 - sum);
   }
-  auto& z_sum = ws.z_sum;
-  z_sum.resize(static_cast<std::size_t>(ne));
-  for (int e = 0; e < ne; ++e) {
-    double sum = 0.0;
-    for (int s = edge_begin_[static_cast<std::size_t>(e)];
-         s < edge_begin_[static_cast<std::size_t>(e) + 1]; ++s) {
-      sum += flow[static_cast<std::size_t>(inc_path_[static_cast<std::size_t>(s)])];
-    }
-    z_sum[static_cast<std::size_t>(e)] = sum;
-  }
   auto& s3 = ws.s3;
-  s3.resize(static_cast<std::size_t>(ne));
+  resize_unspecified(s3, static_cast<std::size_t>(ne));
   auto& l3 = ws.l3;
   l3.assign(static_cast<std::size_t>(ne), 0.0);
-  for (int e = 0; e < ne; ++e) {
-    s3[static_cast<std::size_t>(e)] =
-        std::max(0.0, cap[static_cast<std::size_t>(e)] - z_sum[static_cast<std::size_t>(e)]);
-  }
+  auto& offset = ws.offset;
+  resize_unspecified(offset, static_cast<std::size_t>(ne));
+  auto& shift = ws.shift;
+  resize_unspecified(shift, static_cast<std::size_t>(ne));
 
   const bool weighted = !cfg_.path_weight.empty();
 
@@ -216,62 +201,62 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
         }
       }
     });
+    // Everything after the F-update only feeds the next one: the result
+    // reads x, x_sum and flow alone.
+    if (it + 1 == cfg_.iterations) break;
 
-    // ---- Coupled link-level block, fused per edge: s3-update, exact
-    // z-update, l4 and l3 dual ascent. The z-update reads the flow of
-    // *other* demands' paths through the edge's incidence slots — the
-    // coupling that makes this an edge pass, not a demand shard. Per-edge
-    // rows are independent and deterministic (slot order is fixed), so any
-    // chunking is bit-identical. The per-edge quadratic has Hessian
-    // rho*(I + 1 1ᵀ); by Sherman-Morrison, with a_p = f_p + l4_p/rho -
-    // l3/rho + cap - s3, the minimizer is z_p = a_p - S with
-    // S = (sum_p a_p) / (n + 1). z is unbounded, so this block minimization
-    // is exact — important for ADMM convergence. The l4 ascent is
-    // elementwise in (path, edge) and reads only the final z and the flow,
-    // so it runs here, on the slots this edge just wrote.
-    pool.parallel_chunks(static_cast<std::size_t>(ne), [&](std::size_t b, std::size_t e_) {
-      for (std::size_t ei = b; ei < e_; ++ei) {
-        s3[ei] = std::max(0.0, cap[ei] - z_sum[ei] - l3[ei] / rho);
-        const auto s_begin = static_cast<std::size_t>(edge_begin_[ei]);
-        const auto s_end = static_cast<std::size_t>(edge_begin_[ei + 1]);
-        if (s_begin != s_end) {
-          const double offset = -l3[ei] / rho + cap[ei] - s3[ei];
-          double a_sum = 0.0;
-          for (std::size_t s = s_begin; s < s_end; ++s) {
-            // Stash a_p in z temporarily.
-            z[s] = flow[static_cast<std::size_t>(inc_path_[s])] + l4[s] / rho + offset;
-            a_sum += z[s];
-          }
-          const auto n = static_cast<double>(s_end - s_begin);
-          const double S = a_sum / (n + 1.0);
-          for (std::size_t s = s_begin; s < s_end; ++s) {
-            z[s] -= S;
-            l4[s] += rho * (flow[static_cast<std::size_t>(inc_path_[s])] - z[s]);
-          }
-          z_sum[ei] = a_sum - n * S;
-        }
-        l3[ei] += rho * (z_sum[ei] + s3[ei] - cap[ei]);
-      }
+    // ---- Coupled link-level block: s3-update, exact z-update and l3 dual
+    // ascent. The per-edge quadratic has Hessian rho*(I + 1 1ᵀ); by
+    // Sherman-Morrison, with a_p = f_p + l4_p/rho + offset_e, where
+    // offset_e = -l3/rho + cap - s3, the minimizer is z_p = a_p - S_e with
+    // S_e = (sum_p a_p) / (n + 1). z is unbounded, so this block
+    // minimization is exact — important for ADMM convergence. The sum of a_p
+    // reads the flow of *other* demands' paths, so it is the ordered
+    // scatter; the rest is per edge, on ne entries.
+    for (int e = 0; e < ne; ++e) {
+      const auto ei = static_cast<std::size_t>(e);
+      s3[ei] = std::max(0.0, cap[ei] - z_sum[ei] - l3[ei] / rho);
+      offset[ei] = -l3[ei] / rho + cap[ei] - s3[ei];
+    }
+    scatter(shift, [&](std::size_t ps, int zi) {
+      const auto zs = static_cast<std::size_t>(zi);
+      return flow[ps] + l4[zs] / rho + offset[static_cast<std::size_t>(edge_of_[zs])];
     });
+    // shift holds each edge's sum of a_p; turn it into S_e. An edge on no
+    // path keeps its z_sum.
+    for (int e = 0; e < ne; ++e) {
+      const auto ei = static_cast<std::size_t>(e);
+      if (edge_count_[ei] != 0) {
+        const auto n = static_cast<double>(edge_count_[ei]);
+        const double S = shift[ei] / (n + 1.0);
+        z_sum[ei] = shift[ei] - n * S;
+        shift[ei] = S;
+      }
+      l3[ei] += rho * (z_sum[ei] + s3[ei] - cap[ei]);
+    }
 
     // ---- Demand-side block 2 + dual ascent, fused per demand and fanned
-    // over the shards: s1-update and l1 ascent, then — when another
-    // F-update follows — each path's l4/z sums gathered from the edge
-    // slots in path order.
-    const bool gather = it + 1 < cfg_.iterations;
+    // over the shards: s1-update and l1 ascent, then the path pass — each
+    // incidence's z recomputed from its edge's offset and S, its l4 ascent,
+    // and the path's l4/z sums in path order. A shard writes only its own
+    // paths' l4 range.
     run_sharded(shards, stats, [&](int /*shard*/, int d0, int d1) {
       for (int d = d0; d < d1; ++d) {
         const auto di = static_cast<std::size_t>(d);
         s1[di] = std::max(0.0, 1.0 - x_sum[di] - l1[di] / rho);
         l1[di] += rho * (x_sum[di] + s1[di] - 1.0);
-        if (!gather) continue;
         for (int p = pb_.path_begin(d); p < pb_.path_end(d); ++p) {
           const auto ps = static_cast<std::size_t>(p);
+          const double f = flow[ps];
           double sl4 = 0.0, sz = 0.0;
           for (int zi = z_offset_[ps]; zi < z_offset_[ps + 1]; ++zi) {
-            const auto s = static_cast<std::size_t>(slot_[static_cast<std::size_t>(zi)]);
-            sl4 += l4[s];
-            sz += z[s];
+            const auto zs = static_cast<std::size_t>(zi);
+            const auto ei = static_cast<std::size_t>(edge_of_[zs]);
+            // a_p as the scatter computed it, so z is a_p - S_e exactly.
+            const double z = f + l4[zs] / rho + offset[ei] - shift[ei];
+            l4[zs] += rho * (f - z);
+            sl4 += l4[zs];
+            sz += z;
           }
           sum_l4[ps] = sl4;
           sum_z[ps] = sz;
@@ -280,8 +265,9 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
     });
   }
 
-  // Each demand's last F-update wrote its flow from the final x.
-  res.after = violation();
+  // Each demand's last F-update wrote its flow from the final x; shift is
+  // free again, so it takes the loads.
+  res.after = violation(shift);
   // ADMM iterates are not exactly feasible for the *demand* constraint; clamp
   // the per-demand sums (cheap and local) but keep capacity handling to the
   // evaluation semantics, as the paper does. Sharded: each demand's clamp and

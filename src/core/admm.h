@@ -2,8 +2,11 @@
 //
 // Teal's neural networks output split ratios that may violate link
 // capacities. A handful of ADMM iterations, warm-started from the network
-// output, pushes the solution toward the feasible region while improving the
-// TE objective. Following Appendix C, the TE LP is decoupled by introducing
+// output, trade the TE objective against those constraints. At the paper's
+// iteration counts this does not always lower the violation: on the
+// benchmark's Kdl and B4 inputs the residual after fine-tuning is higher
+// than before, while on ASN and SWAN it falls (EXPERIMENTS.md "Solve stage
+// split"). Following Appendix C, the TE LP is decoupled by introducing
 //   * per-(path, edge) auxiliary variables z_pe with F_p * d - z_pe = 0,
 //   * slack s1_d for the demand constraints and s3_e for capacity, and
 //   * multipliers lambda1_d, lambda3_e, lambda4_pe with penalty rho.
@@ -44,8 +47,8 @@ class Admm {
   explicit Admm(const te::Problem& pb, AdmmConfig cfg = {});
 
   // Fine-tunes `a` in place for the given matrix/capacities. Returns the
-  // total constraint violation (demand + capacity + coupling residuals)
-  // before and after, letting callers and tests check monotone improvement.
+  // total constraint violation (demand overshoot + capacity overload)
+  // before and after. The two are not ordered: see the header comment.
   struct Residuals {
     double before = 0.0;
     double after = 0.0;
@@ -56,14 +59,18 @@ class Admm {
   // entry is fully re-initialized per call, so reuse never changes results.
   // Distinct Workspaces make concurrent fine_tune() calls on one Admm safe.
   // Buffers are arena-aware (util::AVec): a workspace sized under a bound
-  // util::Arena draws all fifteen from the arena in one cold pass.
+  // util::Arena draws all fifteen from the arena in one cold pass. There is
+  // no per-incidence z: z is never carried across iterations, so the path
+  // pass recomputes it from the path's flow and l4 and its edge's offset
+  // and S.
   struct Workspace {
     util::AVec<double> vol, cap;           // normalized volumes/capacities
     util::AVec<double> x, x_sum;           // split ratios and per-demand sums
-    util::AVec<double> z, l4;              // per-(path,edge) auxiliaries, edge-slot order
-    util::AVec<double> z_sum;              // per-edge sum of z
+    util::AVec<double> l4;                 // per-(path,edge) multipliers, path-major
     util::AVec<double> flow;               // per-path flow x * vol
     util::AVec<double> sum_l4, sum_z;      // per-path sums of l4 / z over its edges
+    util::AVec<double> z_sum;              // per-edge sum of z
+    util::AVec<double> offset, shift;      // per-edge z-update terms: offset, S (sum of a_p first)
     util::AVec<double> s1, l1, s3, l3;     // slacks and multipliers
   };
 
@@ -73,13 +80,13 @@ class Admm {
 
   // Demand-sharded fine-tune. The per-demand stages — the F-update
   // (coordinate descent over [demand_begin, demand_end)), the s1/l1 updates
-  // and the gather of each path's l4/z sums — fan out over `shards`; the
-  // coupled link-level stages (per-edge s3/z/l3 and the l4 dual ascent,
-  // which read paths of *other* demands through the edge incidence) run as
-  // per-edge pool passes, and the residual reductions run sequentially on
-  // the calling thread. The resulting allocation is bit-identical for every
-  // shard plan (tests/shard_test.cpp) and to the path-major reference
-  // (tests/core_admm_test.cpp).
+  // and the path pass (each incidence's z and l4 ascent, and each path's
+  // l4/z sums) — fan out over `shards`. The coupled link-level stages, which
+  // read paths of *other* demands through the edge incidence, run on the
+  // calling thread: an ordered path-major scatter of each edge's sum, then
+  // elementwise per-edge s3/S/l3 loops. The residual reductions use the same
+  // scatter. The resulting allocation is bit-identical for every shard plan
+  // (tests/shard_test.cpp) and to the reference (tests/core_admm_test.cpp).
   Residuals fine_tune(const te::TrafficMatrix& tm, const std::vector<double>& capacities,
                       te::Allocation& a, Workspace& ws, const ShardPlan& shards,
                       ShardStat* stats = nullptr) const;
@@ -94,15 +101,12 @@ class Admm {
   const te::Problem& pb_;
   AdmmConfig cfg_;
   // Path-major numbering of the (path, edge) incidences: path p owns
-  // indices [z_offset_[p], z_offset_[p+1]), one per edge in path order.
+  // indices [z_offset_[p], z_offset_[p+1]), one per edge in path order, and
+  // edge_of_[zi] is the edge of incidence zi. l4 is stored in this order.
+  // edge_count_[e] is the number of incidences on edge e.
   std::vector<int> z_offset_;
-  // Edge-major CSR over the same incidences, which is the order z and l4
-  // are stored in: edge e owns slots [edge_begin_[e], edge_begin_[e+1]), in
-  // ascending path order; inc_path_[s] is the path of slot s, and
-  // slot_[zi] the slot of path-major index zi.
-  std::vector<int> edge_begin_;
-  std::vector<int> inc_path_;
-  std::vector<int> slot_;
+  std::vector<int> edge_of_;
+  std::vector<int> edge_count_;
 };
 
 }  // namespace teal::core

@@ -111,12 +111,16 @@ te::Allocation TealScheme::solve(const te::Problem& pb, const te::TrafficMatrix&
 // to this scheme's ws_ (batch workspaces warm on pool threads, unbound).
 void TealScheme::solve_into(const te::Problem& pb, const te::TrafficMatrix& tm,
                             te::Allocation& out) {
+  te::validate_traffic_matrix(pb, tm);
   util::ArenaScope bind(&arena_);
   solve_with(ws_, pb, tm, out, &last_seconds_, shard_count_);
 }
 
 te::BatchSolve TealScheme::solve_batch(const te::Problem& pb,
                                        std::span<const te::TrafficMatrix> tms) {
+  // Every matrix is checked before any solve starts, so one bad matrix
+  // throws on this thread instead of inside a fan-out.
+  for (const auto& tm : tms) te::validate_traffic_matrix(pb, tm);
   auto& pool = util::ThreadPool::global();
   const std::size_t n_threads = pool.size() + 1;  // workers + caller
   // Composition cost model for the two parallelism axes. With two or more

@@ -50,6 +50,8 @@ class TealScheme : public te::Scheme {
   te::Allocation solve(const te::Problem& pb, const te::TrafficMatrix& tm) override;
   // The primary path: solves into a caller-owned Allocation through the
   // scheme's workspace. Zero heap allocations once the workspace is warm.
+  // Throws std::invalid_argument (te::validate_traffic_matrix) for a matrix
+  // of the wrong size or with a NaN, infinite or negative volume.
   void solve_into(const te::Problem& pb, const te::TrafficMatrix& tm,
                   te::Allocation& out) override;
   // Fans the batch out over ThreadPool::global() with one persistent
@@ -60,7 +62,8 @@ class TealScheme : public te::Scheme {
   // are identical to a sequential solve() loop either way (workspaces share
   // no mutable state); only the timing differs — see the BatchSolve
   // timing-semantics note in te/scheme.h for how the per-solve seconds
-  // relate to last_solve_seconds().
+  // relate to last_solve_seconds(). Validates every matrix, as solve_into()
+  // does, before any solve starts.
   te::BatchSolve solve_batch(const te::Problem& pb,
                              std::span<const te::TrafficMatrix> tms) override;
   double last_solve_seconds() const override { return last_seconds_; }
@@ -129,6 +132,9 @@ class TealScheme : public te::Scheme {
   // Workspace replicas fill it from shard_count() at construction.
   // After the call `ws.plan` / `ws.shard_stats` hold the executed plan and
   // per-shard load-balance accounting.
+  // Unlike solve_into() and solve_batch() it does not validate `tm`: a
+  // replica treats any throw as its own death, and net::Server already
+  // refuses wrong-sized or non-finite matrices at admission.
   void solve_replica(SolveWorkspace& ws, const te::Problem& pb, const te::TrafficMatrix& tm,
                      te::Allocation& out, double* seconds_out = nullptr,
                      int shard_count = 1) const {

@@ -3,7 +3,6 @@
 #include <poll.h>
 
 #include <atomic>
-#include <cmath>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -135,7 +134,7 @@ SubmitOutcome Server::submit_solve(Session& session, std::uint32_t request_id,
   // exception as its own death and requeues the request, so a thrown
   // rejection would take down every replica in turn.
   for (double v : tm.volume) {
-    if (!(std::isfinite(v) && v >= 0.0)) return SubmitOutcome::kBadVolume;
+    if (!te::valid_volume(v)) return SubmitOutcome::kBadVolume;
   }
   auto slot = std::make_shared<PendingSolve>();
   slot->tm = std::move(tm);

@@ -1,5 +1,6 @@
 #include "te/problem.h"
 
+#include <cmath>
 #include <limits>
 #include <mutex>
 #include <numeric>
@@ -92,6 +93,23 @@ void Problem::capacities_into(std::vector<double>& out) const {
   out.resize(static_cast<std::size_t>(graph_.num_edges()));
   for (topo::EdgeId e = 0; e < graph_.num_edges(); ++e) {
     out[static_cast<std::size_t>(e)] = graph_.edge(e).capacity;
+  }
+}
+
+bool valid_volume(double v) { return std::isfinite(v) && v >= 0.0; }
+
+void validate_traffic_matrix(const Problem& pb, const TrafficMatrix& tm) {
+  if (static_cast<int>(tm.volume.size()) != pb.num_demands()) {
+    throw std::invalid_argument("traffic matrix has " + std::to_string(tm.volume.size()) +
+                                " volumes for " + std::to_string(pb.num_demands()) +
+                                " demands");
+  }
+  for (std::size_t d = 0; d < tm.volume.size(); ++d) {
+    if (!valid_volume(tm.volume[d])) {
+      throw std::invalid_argument("traffic matrix: demand " + std::to_string(d) +
+                                  " has volume " + std::to_string(tm.volume[d]) +
+                                  " (must be finite and >= 0)");
+    }
   }
 }
 

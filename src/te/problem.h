@@ -106,4 +106,12 @@ class Problem {
 // All (src, dst) ordered pairs of g.
 std::vector<Demand> all_pairs_demands(const topo::Graph& g);
 
+// A demand volume the solvers can take: finite and nonnegative. One NaN or
+// infinite volume turns every split NaN, and a negative one passes silently.
+bool valid_volume(double v);
+
+// Throws std::invalid_argument, naming the demand, unless `tm` has one
+// valid_volume() per demand of `pb`. Allocation-free when it passes.
+void validate_traffic_matrix(const Problem& pb, const TrafficMatrix& tm);
+
 }  // namespace teal::te

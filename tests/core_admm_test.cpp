@@ -1,7 +1,8 @@
 // Tests for ADMM fine-tuning (§3.4, Appendix C): violation reduction,
 // demand-constraint preservation, objective improvement from a warm start,
 // the cold-start observation that motivates warm-starting, and bit-exact
-// agreement with the path-major reference (tests/reference_solve.h).
+// agreement with the reference (tests/reference_solve.h) across iteration
+// counts, shard plans and reused workspaces.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -153,7 +154,7 @@ TEST(Admm, NoViolationIsStable) {
   EXPECT_GT(routed, 0.0);
 }
 
-// ---- Oracle: the edge-major solve against the path-major reference.
+// ---- Oracle: the streaming path-major solve against the reference.
 
 te::Problem sampled_problem(const std::string& topo_name, int n_demands, double util,
                             traffic::Trace* trace_out) {
@@ -179,14 +180,13 @@ te::Allocation scattered_allocation(const te::Problem& pb) {
 }
 
 // fine_tune must reproduce the reference's splits byte for byte and its
-// residuals exactly, for 1 and 4 demand shards on one reused workspace.
-void expect_matches_reference(const te::Problem& pb, const core::AdmmConfig& cfg,
-                              const te::TrafficMatrix& tm, const std::vector<double>& caps,
-                              const te::Allocation& start) {
+// residuals exactly, for 1 and 4 demand shards on the given workspace.
+void expect_matches_reference_in(core::Admm::Workspace& ws, const te::Problem& pb,
+                                 const core::AdmmConfig& cfg, const te::TrafficMatrix& tm,
+                                 const std::vector<double>& caps, const te::Allocation& start) {
   auto ref = start;
   const auto ref_res = reference::reference_fine_tune(pb, cfg, tm, caps, ref);
   const core::Admm admm(pb, cfg);
-  core::Admm::Workspace ws;
   for (int shards : {1, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     auto out = start;
@@ -198,6 +198,14 @@ void expect_matches_reference(const te::Problem& pb, const core::AdmmConfig& cfg
     EXPECT_EQ(res.before, ref_res.before);
     EXPECT_EQ(res.after, ref_res.after);
   }
+}
+
+// The same on one workspace reused across both shard plans.
+void expect_matches_reference(const te::Problem& pb, const core::AdmmConfig& cfg,
+                              const te::TrafficMatrix& tm, const std::vector<double>& caps,
+                              const te::Allocation& start) {
+  core::Admm::Workspace ws;
+  expect_matches_reference_in(ws, pb, cfg, tm, caps, start);
 }
 
 TEST(AdmmOracle, KdlLongPathsMatchReference) {
@@ -249,6 +257,55 @@ TEST(AdmmOracle, UnusedEdgesMatchReference) {
   core::AdmmConfig cfg;
   cfg.iterations = 5;
   expect_matches_reference(pb, cfg, trace.at(0), pb.capacities(), scattered_allocation(pb));
+}
+
+TEST(AdmmOracle, NoPathPassIterationCountsMatchReference) {
+  // At 0 iterations nothing runs but the residuals and the writeback; at 1
+  // the F-update runs and the link block and path pass do not.
+  traffic::Trace kdl_trace, b4_trace;
+  auto kdl = sampled_problem("Kdl", 150, 2.0, &kdl_trace);
+  auto b4 = b4_problem(2.0, &b4_trace);
+  for (int iters : {0, 1}) {
+    SCOPED_TRACE("iterations=" + std::to_string(iters));
+    core::AdmmConfig cfg;
+    cfg.iterations = iters;
+    expect_matches_reference(kdl, cfg, kdl_trace.at(0), kdl.capacities(),
+                             scattered_allocation(kdl));
+    expect_matches_reference(b4, cfg, b4_trace.at(0), b4.capacities(), violating_allocation(b4));
+  }
+}
+
+TEST(AdmmOracle, WorkspaceReusedAcrossProblemSizesMatchesReference) {
+  // One workspace through problems that grow and shrink its per-edge and
+  // per-incidence buffers, including one whose edges mostly carry no path:
+  // state left from a previous problem must never reach a result.
+  traffic::Trace kdl_trace, b4_trace, swan_trace;
+  auto kdl = sampled_problem("Kdl", 150, 2.0, &kdl_trace);
+  auto b4 = b4_problem(2.0, &b4_trace);
+  auto swan = sampled_problem("SWAN", 3, 3.0, &swan_trace);
+  core::AdmmConfig cfg;
+  cfg.iterations = 5;
+  core::Admm::Workspace ws;
+  {
+    SCOPED_TRACE("Kdl");
+    expect_matches_reference_in(ws, kdl, cfg, kdl_trace.at(0), kdl.capacities(),
+                                scattered_allocation(kdl));
+  }
+  {
+    SCOPED_TRACE("B4");
+    expect_matches_reference_in(ws, b4, cfg, b4_trace.at(0), b4.capacities(),
+                                violating_allocation(b4));
+  }
+  {
+    SCOPED_TRACE("SWAN, unused edges");
+    expect_matches_reference_in(ws, swan, cfg, swan_trace.at(0), swan.capacities(),
+                                scattered_allocation(swan));
+  }
+  {
+    SCOPED_TRACE("Kdl again");
+    expect_matches_reference_in(ws, kdl, cfg, kdl_trace.at(0), kdl.capacities(),
+                                violating_allocation(kdl));
+  }
 }
 
 }  // namespace

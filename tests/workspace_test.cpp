@@ -1,9 +1,15 @@
 // Tests for the workspace-based solve path: reusing a SolveWorkspace must be
 // observationally pure (bit-identical allocations across repeated solves),
 // solve_batch must match the sequential solve loop exactly for Teal and the
-// LP baselines, and a warm TealScheme::solve_into must perform zero heap
-// allocations (the alloc_hook counter verifies the claim directly).
+// LP baselines, a warm TealScheme::solve_into must perform zero heap
+// allocations (the alloc_hook counter verifies the claim directly), and the
+// in-process solve entry points refuse matrices they cannot solve.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "baselines/lp_schemes.h"
 #include "core/teal_scheme.h"
@@ -114,6 +120,54 @@ TEST(Workspace, WarmSolveIntoAllocatesNothing) {
   scheme.solve_into(s.pb, s.trace.at(0), out);
   EXPECT_EQ(allocs.count(), 0u)
       << "warm TealScheme::solve_into must not touch the heap";
+}
+
+// Matrices the solve boundary refuses: one short, and one each with a NaN,
+// +inf and negative volume on demand 3.
+std::vector<te::TrafficMatrix> bad_matrices(const te::TrafficMatrix& good) {
+  std::vector<te::TrafficMatrix> bad(4, good);
+  bad[0].volume.pop_back();
+  bad[1].volume[3] = std::numeric_limits<double>::quiet_NaN();
+  bad[2].volume[3] = std::numeric_limits<double>::infinity();
+  bad[3].volume[3] = -1.0;
+  return bad;
+}
+
+TEST(SolveBoundary, SolveIntoRejectsBadMatrices) {
+  auto s = b4_setup();
+  auto scheme = make_teal(s.pb);
+  te::Allocation out;
+  const auto bad = bad_matrices(s.trace.at(0));
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE("bad matrix " + std::to_string(i));
+    EXPECT_THROW(scheme.solve_into(s.pb, bad[i], out), std::invalid_argument);
+  }
+  try {
+    te::validate_traffic_matrix(s.pb, bad[1]);
+    ADD_FAILURE() << "a NaN volume must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("demand 3"), std::string::npos) << e.what();
+  }
+  // The rejections left the scheme usable: a valid matrix still solves to
+  // the same bits as on a fresh scheme.
+  scheme.solve_into(s.pb, s.trace.at(0), out);
+  expect_bit_identical(make_teal(s.pb).solve(s.pb, s.trace.at(0)), out);
+}
+
+TEST(SolveBoundary, SolveBatchRejectsBeforeSolving) {
+  auto s = b4_setup();
+  for (const auto& bad : bad_matrices(s.trace.at(0))) {
+    auto scheme = make_teal(s.pb);
+    // The bad matrix comes last, so a check made per solve would only fire
+    // after the valid ones were solved.
+    std::vector<te::TrafficMatrix> batch(s.trace.matrices.begin(), s.trace.matrices.end());
+    batch.push_back(bad);
+    EXPECT_THROW(scheme.solve_batch(s.pb, std::span(batch)), std::invalid_argument);
+    EXPECT_EQ(scheme.last_solve_seconds(), 0.0) << "a solve ran before the rejection";
+    auto after = scheme.solve_batch(s.pb, std::span(s.trace.matrices));
+    ASSERT_EQ(after.allocs.size(), s.trace.matrices.size());
+    expect_bit_identical(make_teal(s.pb).solve(s.pb, s.trace.at(0)), after.allocs[0]);
+  }
 }
 
 TEST(ArenaWorkspace, ColdSpinUpIsO1AllocationsAndBitIdentical) {
