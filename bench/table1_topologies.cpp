@@ -28,7 +28,7 @@ int main() {
     for (int d = 0; d < pb.num_demands(); ++d) {
       std::vector<topo::Path> ps;
       for (int p = pb.path_begin(d); p < pb.path_end(d); ++p) {
-        ps.push_back(pb.path_edges(p));
+        ps.emplace_back(pb.path_edges(p).begin(), pb.path_edges(p).end());
       }
       paths.push_back(std::move(ps));
     }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "te/objective.h"
 
@@ -23,20 +25,10 @@ void resize_unspecified(util::AVec<double>& v, std::size_t n) {
 int default_admm_iterations(int n_nodes) { return n_nodes < 100 ? 2 : 5; }
 
 Admm::Admm(const te::Problem& pb, AdmmConfig cfg) : pb_(pb), cfg_(std::move(cfg)) {
-  const int np = pb.total_paths();
-  z_offset_.resize(static_cast<std::size_t>(np) + 1, 0);
-  edge_count_.assign(static_cast<std::size_t>(pb.graph().num_edges()), 0);
-  for (int p = 0; p < np; ++p) {
-    z_offset_[static_cast<std::size_t>(p) + 1] =
-        z_offset_[static_cast<std::size_t>(p)] +
-        static_cast<int>(pb.path_edges(p).size());
-  }
-  edge_of_.reserve(static_cast<std::size_t>(z_offset_.back()));
-  for (int p = 0; p < np; ++p) {
-    for (topo::EdgeId e : pb.path_edges(p)) {
-      edge_of_.push_back(e);
-      ++edge_count_[static_cast<std::size_t>(e)];
-    }
+  const std::size_t nw = cfg_.path_weight.size();
+  if (nw != 0 && nw != static_cast<std::size_t>(pb.total_paths())) {
+    throw std::invalid_argument("Admm: path_weight has " + std::to_string(nw) + " entries for " +
+                                std::to_string(pb.total_paths()) + " paths");
   }
 }
 
@@ -62,7 +54,7 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
   const int nd = pb_.num_demands();
   const int ne = pb_.graph().num_edges();
   const int np = pb_.total_paths();
-  const int nz = z_offset_.back();
+  const int nz = pb_.num_incidences();
   const double rho = cfg_.rho;
 
   // Normalize volumes/capacities by the mean capacity so rho=1 is a sensible
@@ -101,7 +93,7 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
     flow[ps] = x[ps] * vol[static_cast<std::size_t>(pb_.demand_of_path(p))];
     // z starts at the path's flow on each of its edges and l4 at zero.
     double sz = 0.0;
-    for (int zi = z_offset_[ps]; zi < z_offset_[ps + 1]; ++zi) sz += flow[ps];
+    for (int zi = pb_.incidence_begin(p); zi < pb_.incidence_begin(p + 1); ++zi) sz += flow[ps];
     sum_l4[ps] = 0.0;
     sum_z[ps] = sz;
   }
@@ -115,8 +107,8 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
     std::fill(acc.begin(), acc.end(), 0.0);
     for (int p = 0; p < np; ++p) {
       const auto ps = static_cast<std::size_t>(p);
-      for (int zi = z_offset_[ps]; zi < z_offset_[ps + 1]; ++zi) {
-        acc[static_cast<std::size_t>(edge_of_[static_cast<std::size_t>(zi)])] += term(ps, zi);
+      for (int zi = pb_.incidence_begin(p); zi < pb_.incidence_begin(p + 1); ++zi) {
+        acc[static_cast<std::size_t>(pb_.incidence_edge(zi))] += term(ps, zi);
       }
     }
   };
@@ -186,7 +178,7 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
         for (int sweep = 0; sweep < cfg_.coord_sweeps; ++sweep) {
           for (int p = pb_.path_begin(d); p < pb_.path_end(d); ++p) {
             const auto ps = static_cast<std::size_t>(p);
-            const double m = static_cast<double>(z_offset_[ps + 1] - z_offset_[ps]);
+            const double m = static_cast<double>(pb_.path_edges(p).size());
             const double w = weighted ? cfg_.path_weight[ps] : 1.0;
             const double rest = x_sum[di] - x[ps] + s1[di] - 1.0;
             double num =
@@ -220,14 +212,14 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
     }
     scatter(shift, [&](std::size_t ps, int zi) {
       const auto zs = static_cast<std::size_t>(zi);
-      return flow[ps] + l4[zs] / rho + offset[static_cast<std::size_t>(edge_of_[zs])];
+      return flow[ps] + l4[zs] / rho + offset[static_cast<std::size_t>(pb_.incidence_edge(zi))];
     });
     // shift holds each edge's sum of a_p; turn it into S_e. An edge on no
     // path keeps its z_sum.
     for (int e = 0; e < ne; ++e) {
       const auto ei = static_cast<std::size_t>(e);
-      if (edge_count_[ei] != 0) {
-        const auto n = static_cast<double>(edge_count_[ei]);
+      const auto n = static_cast<double>(pb_.paths_on_edge(e).size());
+      if (n != 0.0) {
         const double S = shift[ei] / (n + 1.0);
         z_sum[ei] = shift[ei] - n * S;
         shift[ei] = S;
@@ -249,9 +241,9 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
           const auto ps = static_cast<std::size_t>(p);
           const double f = flow[ps];
           double sl4 = 0.0, sz = 0.0;
-          for (int zi = z_offset_[ps]; zi < z_offset_[ps + 1]; ++zi) {
+          for (int zi = pb_.incidence_begin(p); zi < pb_.incidence_begin(p + 1); ++zi) {
             const auto zs = static_cast<std::size_t>(zi);
-            const auto ei = static_cast<std::size_t>(edge_of_[zs]);
+            const auto ei = static_cast<std::size_t>(pb_.incidence_edge(zi));
             // a_p as the scatter computed it, so z is a_p - S_e exactly.
             const double z = f + l4[zs] / rho + offset[ei] - shift[ei];
             l4[zs] += rho * (f - z);

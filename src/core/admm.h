@@ -42,8 +42,9 @@ int default_admm_iterations(int n_nodes);
 
 class Admm {
  public:
-  // Precomputes the edge<->path incidence index; reusable across solves on
-  // the same Problem.
+  // Reads the incidence index from `pb`, which must outlive the Admm;
+  // reusable across solves on the same Problem. Throws std::invalid_argument
+  // unless cfg.path_weight is empty or has one entry per path.
   explicit Admm(const te::Problem& pb, AdmmConfig cfg = {});
 
   // Fine-tunes `a` in place for the given matrix/capacities. Returns the
@@ -66,7 +67,7 @@ class Admm {
   struct Workspace {
     util::AVec<double> vol, cap;           // normalized volumes/capacities
     util::AVec<double> x, x_sum;           // split ratios and per-demand sums
-    util::AVec<double> l4;                 // per-(path,edge) multipliers, path-major
+    util::AVec<double> l4;                 // per-incidence multipliers (Problem's numbering)
     util::AVec<double> flow;               // per-path flow x * vol
     util::AVec<double> sum_l4, sum_z;      // per-path sums of l4 / z over its edges
     util::AVec<double> z_sum;              // per-edge sum of z
@@ -100,13 +101,6 @@ class Admm {
  private:
   const te::Problem& pb_;
   AdmmConfig cfg_;
-  // Path-major numbering of the (path, edge) incidences: path p owns
-  // indices [z_offset_[p], z_offset_[p+1]), one per edge in path order, and
-  // edge_of_[zi] is the edge of incidence zi. l4 is stored in this order.
-  // edge_count_[e] is the number of incidences on edge e.
-  std::vector<int> z_offset_;
-  std::vector<int> edge_of_;
-  std::vector<int> edge_count_;
 };
 
 }  // namespace teal::core

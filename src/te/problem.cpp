@@ -38,22 +38,28 @@ Problem::Problem(topo::Graph g, std::vector<Demand> demands, int k_paths)
   });
 
   path_offset_.push_back(0);
+  path_edge_offset_.push_back(0);
   for (std::size_t i = 0; i < demands.size(); ++i) {
     if (per_demand[i].empty()) continue;  // unreachable pair: drop
     demands_.push_back(demands[i]);
     for (auto& p : per_demand[i]) {
       path_demand_.push_back(static_cast<int>(demands_.size()) - 1);
       path_latency_.push_back(topo::path_latency(graph_, p));
-      path_edges_.push_back(std::move(p));
+      path_edge_ids_.insert(path_edge_ids_.end(), p.begin(), p.end());
+      path_edge_offset_.push_back(static_cast<int>(path_edge_ids_.size()));
     }
-    path_offset_.push_back(static_cast<int>(path_edges_.size()));
+    path_offset_.push_back(static_cast<int>(path_demand_.size()));
   }
 
-  edge_paths_.assign(static_cast<std::size_t>(graph_.num_edges()), {});
-  for (std::size_t p = 0; p < path_edges_.size(); ++p) {
-    for (topo::EdgeId e : path_edges_[p]) {
-      edge_paths_[static_cast<std::size_t>(e)].push_back(static_cast<int>(p));
-    }
+  // Transpose by counting sort: count each edge's incidences, then place the
+  // path ids, visiting paths in ascending order so each edge's list ascends.
+  edge_path_offset_.assign(static_cast<std::size_t>(graph_.num_edges()) + 1, 0);
+  for (topo::EdgeId e : path_edge_ids_) ++edge_path_offset_[static_cast<std::size_t>(e) + 1];
+  std::partial_sum(edge_path_offset_.begin(), edge_path_offset_.end(), edge_path_offset_.begin());
+  std::vector<std::size_t> next(edge_path_offset_.begin(), edge_path_offset_.end() - 1);
+  edge_path_ids_.resize(path_edge_ids_.size());
+  for (int p = 0; p < total_paths(); ++p) {
+    for (topo::EdgeId e : path_edges(p)) edge_path_ids_[next[static_cast<std::size_t>(e)]++] = p;
   }
 }
 
@@ -69,8 +75,14 @@ void Problem::validate_allocation(const Allocation& a, double tol) const {
   if (static_cast<int>(a.split.size()) != total_paths()) {
     throw std::invalid_argument("validate_allocation: size mismatch");
   }
-  for (double s : a.split) {
-    if (s < -tol) throw std::invalid_argument("validate_allocation: negative split");
+  for (std::size_t p = 0; p < a.split.size(); ++p) {
+    const double s = a.split[p];
+    // Written so a NaN split fails too.
+    if (!(std::isfinite(s) && s >= -tol)) {
+      throw std::invalid_argument("validate_allocation: path " + std::to_string(p) +
+                                  " has split " + std::to_string(s) +
+                                  " (must be finite and >= 0)");
+    }
   }
   for (int d = 0; d < num_demands(); ++d) {
     double sum = 0.0;

@@ -8,11 +8,15 @@
 // ratio F_d(p) in [0,1] per (demand, path), with sum_p F_d(p) <= 1.
 //
 // Problem precomputes the flattened index structures every solver in this
-// repo shares: a global path id space, per-demand offsets, path->edge lists
-// and edge->path inverted lists.
+// repo shares: a global path id space with per-demand offsets, and the one
+// path<->edge incidence index as two CSR pairs (offsets + ids). path -> edges
+// numbers the incidences path-major (the order of ADMM's l4); edge -> paths
+// lists each edge's paths in strictly ascending order, the order FlowGNN's
+// mean gather and ADMM's scatter add in (DESIGN.md, bit-identity contract).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,15 +67,24 @@ class Problem {
   // Demand that owns global path id p.
   int demand_of_path(int p) const { return path_demand_[static_cast<std::size_t>(p)]; }
 
-  // Edges of global path p.
-  const topo::Path& path_edges(int p) const { return path_edges_[static_cast<std::size_t>(p)]; }
+  // Edges of global path p, in path order.
+  std::span<const topo::EdgeId> path_edges(int p) const {
+    const int* o = &path_edge_offset_[static_cast<std::size_t>(p)];
+    return {path_edge_ids_.begin() + o[0], path_edge_ids_.begin() + o[1]};
+  }
+
+  // Path p's edges are incidences [incidence_begin(p), incidence_begin(p+1)).
+  int incidence_begin(int p) const { return path_edge_offset_[static_cast<std::size_t>(p)]; }
+  int num_incidences() const { return static_cast<int>(path_edge_ids_.size()); }
+  topo::EdgeId incidence_edge(int i) const { return path_edge_ids_[static_cast<std::size_t>(i)]; }
 
   // Latency of global path p (sum of edge latencies; cached).
   double path_latency(int p) const { return path_latency_[static_cast<std::size_t>(p)]; }
 
-  // Global path ids traversing edge e.
-  const std::vector<int>& paths_on_edge(topo::EdgeId e) const {
-    return edge_paths_[static_cast<std::size_t>(e)];
+  // Global path ids traversing edge e, strictly ascending.
+  std::span<const int> paths_on_edge(topo::EdgeId e) const {
+    const int* o = &edge_path_offset_[static_cast<std::size_t>(e)];
+    return {edge_path_ids_.begin() + o[0], edge_path_ids_.begin() + o[1]};
   }
 
   // Zero-filled allocation of the right size.
@@ -80,8 +93,8 @@ class Problem {
   // Allocation that pins every demand fully onto its shortest path.
   Allocation shortest_path_allocation() const;
 
-  // Throws if `a` has the wrong size, negative splits, or per-demand split
-  // sums exceeding 1 + tol.
+  // Throws if `a` has the wrong size, a split that is not finite or is below
+  // -tol, or a per-demand split sum exceeding 1 + tol.
   void validate_allocation(const Allocation& a, double tol = 1e-6) const;
 
   // Capacity vector snapshot (index = edge id). Failure experiments pass a
@@ -98,9 +111,11 @@ class Problem {
   int k_paths_;
   std::vector<int> path_offset_;             // size num_demands()+1
   std::vector<int> path_demand_;             // size total_paths()
-  std::vector<topo::Path> path_edges_;       // size total_paths()
   std::vector<double> path_latency_;         // size total_paths()
-  std::vector<std::vector<int>> edge_paths_; // size num_edges()
+  std::vector<int> path_edge_offset_;        // size total_paths()+1
+  std::vector<topo::EdgeId> path_edge_ids_;  // size num_incidences(), path-major
+  std::vector<int> edge_path_offset_;        // size num_edges()+1
+  std::vector<int> edge_path_ids_;           // size num_incidences(), edge-major
 };
 
 // All (src, dst) ordered pairs of g.

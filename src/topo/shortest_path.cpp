@@ -74,13 +74,13 @@ std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst) {
   return extract_path(g, sssp, src, dst);
 }
 
-double path_latency(const Graph& g, const Path& p) {
+double path_latency(const Graph& g, std::span<const EdgeId> p) {
   double total = 0.0;
   for (EdgeId e : p) total += g.edge(e).latency;
   return total;
 }
 
-void validate_path(const Graph& g, const Path& p, NodeId src, NodeId dst) {
+void validate_path(const Graph& g, std::span<const EdgeId> p, NodeId src, NodeId dst) {
   if (p.empty()) {
     if (src != dst) throw std::invalid_argument("validate_path: empty path, src != dst");
     return;

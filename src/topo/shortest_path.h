@@ -9,6 +9,7 @@
 
 #include <limits>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "topo/graph.h"
@@ -47,9 +48,9 @@ std::vector<Path> yen_ksp(const Graph& g, NodeId src, NodeId dst, int k);
 std::vector<int> bfs_hops(const Graph& g, NodeId src);
 
 // Total latency of a path.
-double path_latency(const Graph& g, const Path& p);
+double path_latency(const Graph& g, std::span<const EdgeId> p);
 
 // Validates that p is a contiguous src->dst simple path; throws otherwise.
-void validate_path(const Graph& g, const Path& p, NodeId src, NodeId dst);
+void validate_path(const Graph& g, std::span<const EdgeId> p, NodeId src, NodeId dst);
 
 }  // namespace teal::topo

@@ -5,7 +5,10 @@
 // counts, shard plans and reused workspaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "core/admm.h"
@@ -61,6 +64,30 @@ TEST(Admm, KeepsDemandConstraint) {
   auto a = violating_allocation(pb);
   admm.fine_tune(trace.at(0), pb.capacities(), a);
   EXPECT_NO_THROW(pb.validate_allocation(a, 1e-6));
+  // The check refuses a split that is not finite, naming its path: a NaN
+  // compares false against both bounds, so it needs its own test.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    auto b = a;
+    b.split[5] = bad;
+    try {
+      pb.validate_allocation(b, 1e-6);
+      ADD_FAILURE() << "split " << bad << " must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("path 5"), std::string::npos) << e.what();
+    }
+    std::fill(b.split.begin(), b.split.end(), bad);
+    EXPECT_THROW(pb.validate_allocation(b, 1e-6), std::invalid_argument) << "all " << bad;
+  }
+}
+
+TEST(Admm, RejectsPathWeightsOfTheWrongSize) {
+  auto pb = b4_problem();
+  core::AdmmConfig cfg;
+  cfg.path_weight.assign(static_cast<std::size_t>(pb.total_paths()) - 1, 1.0);
+  EXPECT_THROW({ core::Admm admm(pb, cfg); }, std::invalid_argument);
+  cfg.path_weight.push_back(1.0);
+  EXPECT_NO_THROW({ core::Admm admm(pb, cfg); });
 }
 
 TEST(Admm, ImprovesFeasibleFlowOfOverloadedStart) {

@@ -2,6 +2,8 @@
 // topologies, seeds, objectives and schemes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 
 #include "baselines/lp_schemes.h"
@@ -63,14 +65,32 @@ TEST_P(SchemeProperties, ProblemStructureInvariants) {
       prev = pb.path_latency(p);
     }
   }
-  // Inverted index consistency.
+  // Inverted index consistency: the edge lists are the exact transpose of
+  // the path lists. Each edge list ascends strictly (the order FlowGNN's mean
+  // gather and ADMM's scatter add in), and each (path, edge) incidence
+  // appears exactly once on each side.
+  std::size_t by_edge = 0;
   for (topo::EdgeId e = 0; e < pb.graph().num_edges(); ++e) {
-    for (int p : pb.paths_on_edge(e)) {
+    const auto on_e = pb.paths_on_edge(e);
+    by_edge += on_e.size();
+    EXPECT_EQ(std::adjacent_find(on_e.begin(), on_e.end(), std::greater_equal<>()), on_e.end())
+        << "paths on edge " << e << " are not strictly ascending";
+    for (int p : on_e) {
       bool found = false;
       for (topo::EdgeId pe : pb.path_edges(p)) found |= pe == e;
       EXPECT_TRUE(found);
     }
   }
+  std::size_t by_path = 0;
+  for (int p = 0; p < pb.total_paths(); ++p) {
+    by_path += pb.path_edges(p).size();
+    for (topo::EdgeId e : pb.path_edges(p)) {
+      const auto on_e = pb.paths_on_edge(e);
+      EXPECT_EQ(std::count(on_e.begin(), on_e.end(), p), 1) << "path " << p << ", edge " << e;
+    }
+  }
+  EXPECT_EQ(by_path, by_edge);
+  EXPECT_EQ(by_path, static_cast<std::size_t>(pb.num_incidences()));
 }
 
 TEST_P(SchemeProperties, LpIsFeasibleAndDominant) {
