@@ -50,9 +50,8 @@ int main() {
     admm.fine_tune(tm, inst->pb.capacities(), a);
     table.add_row({"NN forward + ADMM (cost only)", "-", util::fmt(t.seconds(), 3), "5"});
   }
-  std::printf("%s", table.to_string().c_str());
+  bench::report(table, "ablation_approx_lp");
   std::printf("\nShape: Fleischer needs far more iterations as eps tightens and does not\n"
               "beat the LP engine's quality/time point (§2.1); inference cost is flat.\n");
-  table.write_csv(bench::out_dir() + "/ablation_approx_lp.csv");
   return 0;
 }

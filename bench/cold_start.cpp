@@ -14,9 +14,8 @@
 // p50, alongside the heap-allocation counts (deterministic, the contract
 // tests/workspace_test.cpp enforces at <= 5 for the arena paths).
 //
-// Output: a table on stdout, bench_out/cold_start.csv, and — when run from
-// the repo root — an entry in the EXPERIMENTS.md "Cold-start ledger".
-#include <algorithm>
+// Output: one table (bench::record) — stdout, bench_out/cold_start.csv and,
+// when run from the repo root, the EXPERIMENTS.md "Cold-start ledger".
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -35,20 +34,10 @@ namespace {
 
 struct Row {
   std::string path;
-  double cold_ms = 0.0;       // median cold-solve wall time
-  double overhead_ms = 0.0;   // cold_ms - warm p50 of the same topology
-  std::uint64_t allocs = 0;   // median heap allocations in the cold window
+  double cold_ms = 0.0;      // median cold-solve wall time
+  double overhead_ms = 0.0;  // cold_ms - warm p50 of the same topology
+  double allocs = 0.0;       // median heap allocations in the cold window
 };
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v.empty() ? 0.0 : v[v.size() / 2];
-}
-
-std::uint64_t median_u64(std::vector<std::uint64_t> v) {
-  std::sort(v.begin(), v.end());
-  return v.empty() ? 0 : v[v.size() / 2];
-}
 
 // One timed cold solve: `setup` cools the workspace, then the measured
 // window runs a single solve. Replicas solve sequentially (shard_count 1),
@@ -57,48 +46,21 @@ template <typename Setup>
 Row measure(const std::string& label, int repeats, double warm_p50_ms,
             core::TealScheme& teal, const te::Problem& pb, const te::TrafficMatrix& tm,
             te::Allocation& out, Setup setup) {
-  std::vector<double> ms;
-  std::vector<std::uint64_t> allocs;
+  std::vector<double> ms, allocs;
   for (int i = 0; i < repeats; ++i) {
     core::SolveWorkspace& ws = setup();
     util::AllocCounter counter;
     util::Timer timer;
     teal.solve_replica(ws, pb, tm, out, nullptr, /*shard_count=*/1);
     ms.push_back(timer.seconds() * 1e3);
-    allocs.push_back(counter.count());
+    allocs.push_back(static_cast<double>(counter.count()));
   }
   Row r;
   r.path = label;
-  r.cold_ms = median(ms);
+  r.cold_ms = util::median(ms);
   r.overhead_ms = r.cold_ms - warm_p50_ms;
-  r.allocs = median_u64(allocs);
+  r.allocs = util::median(allocs);
   return r;
-}
-
-void append_experiments_ledger(const std::vector<Row>& rows, const std::string& topo_a,
-                               const std::string& topo_b, double warm_a_ms,
-                               double warm_b_ms, double alloc_ratio,
-                               double overhead_ratio) {
-  std::string entry;
-  entry += "\n\n### Run " + bench::ledger_stamp();
-  entry += " — spin-up on " + topo_a + ", swap to " + topo_b +
-           (bench::fast_mode() ? " (fast mode)" : "");
-  entry += ", warm p50 " + util::fmt(warm_a_ms, 3) + " / " + util::fmt(warm_b_ms, 3) +
-           " ms\n\n";
-  entry += "| path | cold p50 (ms) | overhead vs warm (ms) | heap allocs |\n";
-  entry += "|---|---|---|---|\n";
-  for (const auto& r : rows) {
-    entry += "| " + r.path + " | " + util::fmt(r.cold_ms, 3) + " | " +
-             util::fmt(r.overhead_ms, 3) + " | " + std::to_string(r.allocs) + " |\n";
-  }
-  entry += "\nRecycled-arena spin-up vs heap: " + util::fmt(alloc_ratio, 1) +
-           "x fewer heap allocations, " +
-           (overhead_ratio > 0.0
-                ? util::fmt(overhead_ratio, 1) + "x lower cold-start overhead.\n"
-                : std::string("cold-start overhead below the warm-path timer "
-                              "noise on this machine.\n"));
-  bench::insert_ledger_entry("<!-- bench_cold_start inserts runs below this line -->",
-                             entry);
 }
 
 }  // namespace
@@ -130,8 +92,8 @@ int main() {
       teal_b->solve_replica(warm_ws_b, inst_b->pb, tm_b, out_b, &s);
       wb.push_back(s * 1e3);
     }
-    warm_a_ms = median(wa);
-    warm_b_ms = median(wb);
+    warm_a_ms = util::median(wa);
+    warm_b_ms = util::median(wb);
   }
 
   std::vector<Row> rows;
@@ -210,9 +172,7 @@ int main() {
   const Row& heap_row = rows[0];
   const Row& recycled_row = rows[2];
   const double alloc_ratio =
-      recycled_row.allocs > 0
-          ? static_cast<double>(heap_row.allocs) / static_cast<double>(recycled_row.allocs)
-          : static_cast<double>(heap_row.allocs);
+      recycled_row.allocs > 0.0 ? heap_row.allocs / recycled_row.allocs : heap_row.allocs;
   // A negative/zero recycled overhead means the respawn solve is already
   // indistinguishable from a warm solve — report that instead of a ratio.
   const double overhead_ratio =
@@ -220,27 +180,18 @@ int main() {
           ? heap_row.overhead_ms / recycled_row.overhead_ms
           : 0.0;
 
-  util::Table table({"path", "cold p50 ms", "overhead ms", "heap allocs"});
-  util::Table csv({"path", "cold_p50_ms", "overhead_ms", "heap_allocs"});
+  util::Table table({"path", "cold p50 (ms)", "overhead vs warm (ms)", "heap allocs"});
   for (const auto& r : rows) {
-    table.add_row({r.path, util::fmt(r.cold_ms, 3), util::fmt(r.overhead_ms, 3),
-                   std::to_string(r.allocs)});
-    csv.add_row({r.path, util::fmt(r.cold_ms, 4), util::fmt(r.overhead_ms, 4),
-                 std::to_string(r.allocs)});
+    table.add_row({r.path, util::fmt(r.cold_ms, 4), util::fmt(r.overhead_ms, 4),
+                   util::fmt(r.allocs, 0)});
   }
-  std::printf("%s", table.to_string().c_str());
-  csv.write_csv(bench::out_dir() + "/cold_start.csv");
-  if (overhead_ratio > 0.0) {
-    std::printf("\nrecycled-arena vs heap spin-up: %.1fx fewer heap allocations, "
-                "%.1fx lower overhead (warm p50 %s: %.3f ms)\n",
-                alloc_ratio, overhead_ratio, inst_a->name.c_str(), warm_a_ms);
-  } else {
-    std::printf("\nrecycled-arena vs heap spin-up: %.1fx fewer heap allocations; "
-                "respawn overhead below warm-path timer noise (warm p50 %s: %.3f ms)\n",
-                alloc_ratio, inst_a->name.c_str(), warm_a_ms);
-  }
-
-  append_experiments_ledger(rows, inst_a->name, inst_b->name, warm_a_ms, warm_b_ms,
-                            alloc_ratio, overhead_ratio);
+  bench::record(table, "cold_start",
+                "spin-up on " + inst_a->name + ", swap to " + inst_b->name + ", warm p50 " +
+                    util::fmt(warm_a_ms, 3) + " / " + util::fmt(warm_b_ms, 3) +
+                    " ms; recycled arena vs heap spin-up: " + util::fmt(alloc_ratio, 1) +
+                    "x fewer heap allocations, " +
+                    (overhead_ratio > 0.0
+                         ? util::fmt(overhead_ratio, 1) + "x lower overhead"
+                         : std::string("overhead below the warm-path timer noise")));
   return 0;
 }

@@ -175,7 +175,14 @@ double scheme_time_scale(const std::string& scheme, const std::string& topo,
   return paper / measured_median;
 }
 
-std::string ledger_stamp() {
+namespace {
+
+[[noreturn]] void fail(const std::string& why) {
+  std::fprintf(stderr, "ERROR: %s\n", why.c_str());
+  std::exit(EXIT_FAILURE);
+}
+
+std::string run_stamp() {
   char stamp[64] = "unknown";
   const std::time_t now = std::time(nullptr);
   if (std::tm* tm = std::localtime(&now)) {
@@ -184,26 +191,49 @@ std::string ledger_stamp() {
   return stamp;
 }
 
-bool insert_ledger_entry(const std::string& marker, const std::string& entry) {
-  std::ifstream in("EXPERIMENTS.md");
-  if (!in.good()) {
-    std::printf("  (EXPERIMENTS.md not in cwd; ledger entry skipped — run from the repo root)\n");
-    return false;
+}  // namespace
+
+void report(const util::Table& table, const std::string& stem) {
+  const std::string csv = out_dir() + "/" + stem + ".csv";
+  constexpr std::size_t kMaxPrinted = 100, kHead = 20;
+  if (table.n_rows() <= kMaxPrinted) {
+    std::printf("%s", table.to_string().c_str());
+  } else {
+    util::Table head(table.header());
+    for (std::size_t i = 0; i < kHead; ++i) head.add_row(table.rows()[i]);
+    std::printf("%s  ... %zu more rows in %s\n", head.to_string().c_str(),
+                table.n_rows() - kHead, csv.c_str());
   }
+  table.write_csv(csv);
+}
+
+void record(const util::Table& table, const std::string& name, const std::string& context,
+            const std::string& label) {
+  const std::string heading =
+      "### Run " + run_stamp() + " — " + context + (fast_mode() ? " (fast mode)" : "");
+  std::printf("\n%s\n\n", heading.c_str());
+  report(table, label.empty() ? name : name + "_" + label);
+
+  if (!std::filesystem::exists("EXPERIMENTS.md")) {
+    std::printf("  (EXPERIMENTS.md not in cwd; ledger entry skipped — run from the repo root)\n");
+    return;
+  }
+  const std::string marker = "<!-- bench_" + name + " inserts " +
+                             (label.empty() ? "" : label + " ") + "runs below this line -->";
+  std::ifstream in("EXPERIMENTS.md");
   std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   in.close();
   const std::size_t pos = text.find(marker);
   if (pos == std::string::npos) {
-    std::printf("  (EXPERIMENTS.md lost the ledger marker '%s'; entry skipped —\n"
-                "   scripts/check_docs.sh will flag this)\n", marker.c_str());
-    return false;
+    fail("EXPERIMENTS.md has no ledger marker '" + marker + "'");
   }
-  std::string body = entry;
-  while (!body.empty() && body.back() == '\n') body.pop_back();
-  text.insert(pos + marker.size(), body);
+  std::string entry = "\n\n" + heading + "\n\n" + table.to_string();
+  entry.pop_back();  // the next entry (or section) supplies the separating newlines
+  text.insert(pos + marker.size(), entry);
   std::ofstream out("EXPERIMENTS.md", std::ios::trunc);
   out << text;
-  return true;
+  out.close();
+  if (!out) fail("could not rewrite EXPERIMENTS.md");
 }
 
 void print_header(const std::string& figure, const std::string& caption) {

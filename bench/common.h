@@ -149,16 +149,22 @@ std::string model_cache_path(const std::string& topo, te::Objective obj);
 // True when TEAL_BENCH_FAST=1: tiny sizes for smoke-testing the harness.
 bool fast_mode();
 
-// Inserts `entry` into EXPERIMENTS.md directly below `marker` (newest run
-// first — a blind EOF append would land inside whichever ledger section
-// happens to be last). Prints a notice and returns false when EXPERIMENTS.md
-// is not in the cwd (run from the repo root) or the marker is missing
-// (scripts/check_docs.sh flags that). Shared by every ledger bench so the
-// read/find/insert/rewrite logic exists once.
-bool insert_ledger_entry(const std::string& marker, const std::string& entry);
+// The one writer for a bench result: each result is one util::Table whose
+// cells are formatted once. report() prints it (a table over 100 rows prints
+// its first 20 and points at the CSV) and writes bench_out/<stem>.csv.
+void report(const util::Table& table, const std::string& stem);
 
-// "YYYY-MM-DD HH:MM" local-time stamp for ledger entries.
-std::string ledger_stamp();
+// report() for a ledger bench (`name` = the bench name without its bench_
+// prefix): also inserts "### Run <stamp> — <context>[ (fast mode)]" and the
+// table into EXPERIMENTS.md directly below the marker
+// "<!-- bench_<name> inserts [<label> ]runs below this line -->", newest run
+// first (a blind EOF append would land inside whichever ledger section
+// happens to be last). The CSV is bench_out/<name>[_<label>].csv. Outside
+// the repo root (no EXPERIMENTS.md in the cwd) the ledger entry is skipped
+// with a notice; a missing marker or a failed rewrite exits the process
+// nonzero, so a bench cannot silently lose its ledger.
+void record(const util::Table& table, const std::string& name, const std::string& context,
+            const std::string& label = "");
 
 // Prints a section header so the combined bench log reads like the paper.
 void print_header(const std::string& figure, const std::string& caption);

@@ -66,8 +66,8 @@ int main() {
                    util::fmt(base_time / std::max(1e-9, elapsed), 2) + "x"});
     std::printf("  threads=%2d first-finisher %.2f s\n", threads, elapsed);
   }
-  std::printf("\n%s", table.to_string().c_str());
+  std::printf("\n");
+  bench::report(table, "fig02_lp_threads");
   std::printf("\nPaper reference: Gurobi reaches only 3.8x speedup at 16 threads on ASN.\n");
-  table.write_csv(bench::out_dir() + "/fig02_lp_threads.csv");
   return 0;
 }

@@ -81,12 +81,9 @@ int main() {
     demand_table.add_row(demand_row);
   }
 
-  std::printf("\n(6a) Average computation time per traffic matrix\n%s",
-              time_table.to_string().c_str());
-  std::printf("\n(6b) Average satisfied demand, online setting (paper-anchored budget)\n%s",
-              demand_table.to_string().c_str());
-  time_table.write_csv(bench::out_dir() + "/fig06a_time.csv");
-  demand_table.write_csv(bench::out_dir() + "/fig06b_satisfied.csv");
-  std::printf("\nCSV written to %s/fig06{a,b}_*.csv\n", bench::out_dir().c_str());
+  std::printf("\n(6a) Average computation time per traffic matrix\n");
+  bench::report(time_table, "fig06a_time");
+  std::printf("\n(6b) Average satisfied demand, online setting (paper-anchored budget)\n");
+  bench::report(demand_table, "fig06b_satisfied");
   return 0;
 }

@@ -55,27 +55,31 @@ int main() {
     for (const auto& iv : online.intervals) s.offline.satisfied_pct.push_back(iv.satisfied_pct);
   }
 
-  util::Table t7a({"scheme", "p10 (s)", "p50 (s)", "p90 (s)", "max/min spread"});
+  // The CDF samples (one row per scheme and interval) and their percentiles.
+  util::Table samples({"scheme", "interval", "time (s)", "satisfied (%)"});
+  util::Table t7a({"scheme", "p10 (s)", "p50 (s)", "p90 (s)", "max/min spread (x)"});
   util::Table t7b({"scheme", "p10 (%)", "p50 (%)", "p90 (%)"});
-  util::Table csv({"scheme", "metric", "value"});
   for (auto& s : all) {
     auto& ts = s.offline.solve_seconds;
+    auto& sat = s.offline.satisfied_pct;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      samples.add_row({s.name, std::to_string(i), util::fmt(ts[i], 4), util::fmt(sat[i], 2)});
+    }
     t7a.add_row({s.name, util::fmt(util::percentile(ts, 10), 3),
                  util::fmt(util::percentile(ts, 50), 3),
                  util::fmt(util::percentile(ts, 90), 3),
-                 util::fmt(util::max_of(ts) / std::max(1e-9, util::min_of(ts)), 2) + "x"});
-    auto& sat = s.offline.satisfied_pct;
+                 util::fmt(util::max_of(ts) / std::max(1e-9, util::min_of(ts)), 2)});
     t7b.add_row({s.name, util::fmt(util::percentile(sat, 10), 1),
                  util::fmt(util::percentile(sat, 50), 1),
                  util::fmt(util::percentile(sat, 90), 1)});
-    for (double v : ts) csv.add_row({s.name, "time_s", util::fmt(v, 4)});
-    for (double v : sat) csv.add_row({s.name, "satisfied_pct", util::fmt(v, 2)});
   }
-  std::printf("\n(7a) Computation time percentiles on ASN\n%s", t7a.to_string().c_str());
-  std::printf("\n(7b) Online satisfied demand percentiles on ASN\n%s",
-              t7b.to_string().c_str());
+  std::printf("\nPer-interval samples on ASN\n");
+  bench::report(samples, "fig07_cdf_asn");
+  std::printf("\n(7a) Computation time percentiles on ASN\n");
+  bench::report(t7a, "fig07a_time_percentiles");
+  std::printf("\n(7b) Online satisfied demand percentiles on ASN\n");
+  bench::report(t7b, "fig07b_satisfied_percentiles");
   std::printf("\nExpected shape: Teal's max/min time spread stays near 1x; the LP-based\n"
               "schemes spread widely and trail in satisfied demand at every percentile.\n");
-  csv.write_csv(bench::out_dir() + "/fig07_cdf_asn.csv");
   return 0;
 }

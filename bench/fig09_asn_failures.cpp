@@ -17,8 +17,7 @@ int main() {
   const int n_trials = bench::fast_mode() ? 1 : 3;
   const std::vector<std::string> schemes = {"NCFlow", "POP", "LP-top", "Teal"};
 
-  util::Table table({"scheme", "no failure", "50 failures", "100 failures", "200 failures"});
-  util::Table csv({"scheme", "n_failures", "satisfied_pct", "resolve_s_paper_eq"});
+  util::Table table({"scheme", "failed links", "satisfied (%)", "re-solve (s, paper-anchored)"});
   for (const auto& sname : schemes) {
     std::unique_ptr<te::Scheme> scheme =
         sname == "Teal" ? std::unique_ptr<te::Scheme>(bench::make_teal(*inst))
@@ -31,7 +30,6 @@ int main() {
       ocfg.time_scale =
           bench::scheme_time_scale(sname, inst->name, scheme->last_solve_seconds());
     }
-    std::vector<std::string> row = {sname};
     for (int n_failures : {0, 50, 100, 200}) {
       std::vector<double> sat;
       double resolve = 0.0;
@@ -49,16 +47,14 @@ int main() {
           resolve = res.resolve_seconds;
         }
       }
-      row.push_back(util::fmt(util::mean(sat), 1) + "%");
-      csv.add_row({sname, std::to_string(n_failures), util::fmt(util::mean(sat), 2),
-                   util::fmt(resolve * ocfg.time_scale, 1)});
+      table.add_row({sname, std::to_string(n_failures), util::fmt(util::mean(sat), 2),
+                     util::fmt(resolve * ocfg.time_scale, 1)});
     }
-    table.add_row(row);
     std::printf("  %s done\n", sname.c_str());
   }
-  std::printf("\n%s", table.to_string().c_str());
+  std::printf("\n");
+  bench::report(table, "fig09_asn_failures");
   std::printf("\nNo retraining is performed for any failure count — Teal generalizes "
               "across transient capacity changes (§5.3).\n");
-  csv.write_csv(bench::out_dir() + "/fig09_asn_failures.csv");
   return 0;
 }

@@ -35,7 +35,6 @@ int main() {
 
   // (a) temporal fluctuation
   util::Table ta({"scheme", "1x", "2x", "5x", "10x", "20x"});
-  util::Table csv({"scheme", "axis", "x", "satisfied_pct"});
   for (const auto& sname : schemes) {
     std::unique_ptr<te::Scheme> scheme =
         sname == "Teal" ? std::unique_ptr<te::Scheme>(bench::make_teal(*inst))
@@ -46,15 +45,14 @@ int main() {
           factor == 1.0 ? inst->split.test
                         : traffic::perturb_temporal(inst->split.test, factor, 77);
       double sat = mean_offline_satisfied(*scheme, *inst, shaken, n_test);
-      row.push_back(util::fmt(sat, 1) + "%");
-      csv.add_row({sname, "temporal", util::fmt(factor, 0), util::fmt(sat, 2)});
+      row.push_back(util::fmt(sat, 2));
     }
     ta.add_row(row);
     std::printf("  temporal %s done\n", sname.c_str());
   }
 
   // (b) spatial redistribution
-  util::Table tb({"scheme", "88.4%", "80%", "60%", "40%", "20%"});
+  util::Table tb({"scheme", "share 88.4%", "share 80%", "share 60%", "share 40%", "share 20%"});
   for (const auto& sname : schemes) {
     std::unique_ptr<te::Scheme> scheme =
         sname == "Teal" ? std::unique_ptr<te::Scheme>(bench::make_teal(*inst))
@@ -64,18 +62,15 @@ int main() {
       traffic::Trace redist =
           share < 0.0 ? inst->split.test : traffic::perturb_spatial(inst->split.test, share);
       double sat = mean_offline_satisfied(*scheme, *inst, redist, n_test);
-      row.push_back(util::fmt(sat, 1) + "%");
-      csv.add_row({sname, "spatial", util::fmt(share < 0 ? 0.884 : share, 3),
-                   util::fmt(sat, 2)});
+      row.push_back(util::fmt(sat, 2));
     }
     tb.add_row(row);
     std::printf("  spatial %s done\n", sname.c_str());
   }
 
-  std::printf("\n(10a) Satisfied demand under temporal fluctuation\n%s",
-              ta.to_string().c_str());
-  std::printf("\n(10b) Satisfied demand under spatial redistribution "
-              "(top-10%% share)\n%s", tb.to_string().c_str());
-  csv.write_csv(bench::out_dir() + "/fig10_robustness.csv");
+  std::printf("\n(10a) Satisfied demand (%%) under temporal fluctuation (variance scale)\n");
+  bench::report(ta, "fig10a_temporal");
+  std::printf("\n(10b) Satisfied demand (%%) under spatial redistribution (top-10%% share)\n");
+  bench::report(tb, "fig10b_spatial");
   return 0;
 }

@@ -15,8 +15,7 @@ using namespace teal;
 int main() {
   bench::print_header("Figure 11", "min-MLU objective: quality vs computation time");
   const int n_test = bench::fast_mode() ? 1 : 3;
-  util::Table table({"topology", "scheme", "mean MLU", "mean time (s)"});
-  util::Table csv({"topology", "scheme", "mlu", "time_s"});
+  util::Table table({"topology", "scheme", "matrix", "MLU", "time (s)"});
 
   for (const std::string topo : {"Kdl", "ASN"}) {
     auto inst = bench::make_instance(topo);
@@ -36,17 +35,16 @@ int main() {
         mlus.push_back(te::max_link_utilization(inst->pb, tm, a));
         times.push_back(scheme->last_solve_seconds());
       }
-      table.add_row({topo, sname, util::fmt(util::mean(mlus), 3),
-                     util::fmt(util::mean(times), 3)});
       for (std::size_t i = 0; i < mlus.size(); ++i) {
-        csv.add_row({topo, sname, util::fmt(mlus[i], 4), util::fmt(times[i], 4)});
+        table.add_row({topo, sname, std::to_string(i), util::fmt(mlus[i], 4),
+                       util::fmt(times[i], 4)});
       }
       std::printf("  [%s/%s] MLU %.3f in %.3f s\n", topo.c_str(), sname.c_str(),
                   util::mean(mlus), util::mean(times));
     }
   }
-  std::printf("\n%s", table.to_string().c_str());
+  std::printf("\n");
+  bench::report(table, "fig11_mlu");
   std::printf("\nPaper reference: comparable MLU across schemes; Teal 17-36x faster.\n");
-  csv.write_csv(bench::out_dir() + "/fig11_mlu.csv");
   return 0;
 }

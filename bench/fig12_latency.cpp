@@ -14,8 +14,7 @@ using namespace teal;
 int main() {
   bench::print_header("Figure 12", "latency-penalized total flow: quality vs time");
   const int n_test = bench::fast_mode() ? 1 : 3;
-  util::Table table({"topology", "scheme", "normalized flow", "mean time (s)"});
-  util::Table csv({"topology", "scheme", "normalized_flow", "time_s"});
+  util::Table table({"topology", "scheme", "matrix", "normalized flow", "time (s)"});
 
   for (const std::string topo : {"Kdl", "ASN"}) {
     auto inst = bench::make_instance(topo);
@@ -35,18 +34,17 @@ int main() {
                          std::max(1e-9, tm.total()));
         times.push_back(scheme->last_solve_seconds());
       }
-      table.add_row({topo, sname, util::fmt(util::mean(scores), 3),
-                     util::fmt(util::mean(times), 3)});
       for (std::size_t i = 0; i < scores.size(); ++i) {
-        csv.add_row({topo, sname, util::fmt(scores[i], 4), util::fmt(times[i], 4)});
+        table.add_row({topo, sname, std::to_string(i), util::fmt(scores[i], 4),
+                       util::fmt(times[i], 4)});
       }
       std::printf("  [%s/%s] normalized flow %.3f in %.3f s\n", topo.c_str(),
                   sname.c_str(), util::mean(scores), util::mean(times));
     }
   }
-  std::printf("\n%s", table.to_string().c_str());
+  std::printf("\n");
+  bench::report(table, "fig12_latency");
   std::printf("\nPaper reference: Teal comparable to or above LP-top, 26-718x faster;\n"
               "LP-all infeasible on ASN for this objective.\n");
-  csv.write_csv(bench::out_dir() + "/fig12_latency.csv");
   return 0;
 }

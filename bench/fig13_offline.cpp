@@ -15,7 +15,6 @@ int main() {
   bench::print_header("Figure 13", "offline satisfied demand (no control delay)");
   const int n_test = bench::fast_mode() ? 2 : 5;
   util::Table table({"topology", "scheme", "offline satisfied (%)", "mean time (s)"});
-  util::Table csv({"topology", "scheme", "satisfied_pct", "time_s"});
 
   for (const std::string topo : {"Kdl", "ASN"}) {
     auto inst = bench::make_instance(topo);
@@ -28,18 +27,16 @@ int main() {
           sname == "Teal" ? std::unique_ptr<te::Scheme>(bench::make_teal(*inst))
                           : bench::make_baseline(sname, *inst);
       auto series = bench::run_offline(*scheme, *inst, test);
-      table.add_row({topo, sname, util::fmt(series.mean_satisfied(), 1),
-                     util::fmt(series.mean_seconds(), 3)});
-      csv.add_row({topo, sname, util::fmt(series.mean_satisfied(), 2),
-                   util::fmt(series.mean_seconds(), 4)});
+      table.add_row({topo, sname, util::fmt(series.mean_satisfied(), 2),
+                     util::fmt(series.mean_seconds(), 4)});
       std::printf("  [%s/%s] offline %.1f%% in %.3f s\n", topo.c_str(), sname.c_str(),
                   series.mean_satisfied(), series.mean_seconds());
     }
   }
-  std::printf("\n%s", table.to_string().c_str());
+  std::printf("\n");
+  bench::report(table, "fig13_offline");
   std::printf("\nPaper reference: Kdl — Teal within 4.8%% of optimal (LP-all), within "
               "0.7%% of LP-top,\n+27%% over NCFlow, +2.8%% over POP; ASN — Teal ~ LP-top, "
               "+30%% over NCFlow, +11%% over POP.\n");
-  csv.write_csv(bench::out_dir() + "/fig13_offline.csv");
   return 0;
 }

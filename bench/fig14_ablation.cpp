@@ -45,7 +45,6 @@ int main() {
   bench::print_header("Figure 14", "ablation of FlowGNN, multi-agent RL and ADMM");
   const int n_test = bench::fast_mode() ? 2 : 4;
   util::Table table({"variant", "SWAN satisfied (%)", "ASN satisfied (%)"});
-  util::Table csv({"variant", "topology", "satisfied_pct"});
 
   std::vector<std::vector<std::string>> rows = {
       {"Teal"}, {"Teal w/o ADMM"}, {"Teal w/ direct loss"}, {"Teal w/ global policy"},
@@ -107,17 +106,16 @@ int main() {
       } catch (const std::length_error&) {
         sat = -1.0;  // "X" in the paper: memory error on ASN
       }
-      row.push_back(sat < 0.0 ? "X (memory)" : util::fmt(sat, 1));
-      csv.add_row({variant, topo, sat < 0.0 ? "nan" : util::fmt(sat, 2)});
+      row.push_back(sat < 0.0 ? "X (memory)" : util::fmt(sat, 2));
       std::printf("  [%s/%s] %s\n", topo.c_str(), variant.c_str(),
                   sat < 0.0 ? "memory error" : util::fmt(sat, 1).c_str());
     }
   }
   for (auto& row : rows) table.add_row(row);
-  std::printf("\n%s", table.to_string().c_str());
+  std::printf("\n");
+  bench::report(table, "fig14_ablation");
   std::printf("\nPaper reference: naive DNN/GNN lose 4.2-4.3%% (SWAN) and 9.6-12.4%% (ASN);\n"
               "global policy loses 12.9%% on SWAN and OOMs on ASN; direct loss loses\n"
               "2.3-2.5%%; removing ADMM loses 2-2.5%%.\n");
-  csv.write_csv(bench::out_dir() + "/fig14_ablation.csv");
   return 0;
 }

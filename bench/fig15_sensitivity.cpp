@@ -67,9 +67,9 @@ int main() {
     std::printf("  dense=%d -> %.1f%%\n", dense, sat);
   }
 
-  std::printf("\n%s", table.to_string().c_str());
+  std::printf("\n");
+  bench::report(table, "fig15_sensitivity");
   std::printf("\nPaper reference: 86.3%% at 4 layers -> 89.4%% at 6, flat beyond;\n"
               "embedding dims 12/24 and extra dense layers change little.\n");
-  table.write_csv(bench::out_dir() + "/fig15_sensitivity.csv");
   return 0;
 }

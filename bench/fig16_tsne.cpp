@@ -91,12 +91,12 @@ int main() {
   }
   double purity = 100.0 * correct / std::max<std::size_t>(1, y.size());
 
-  util::Table csv({"x", "y", "busy"});
+  util::Table table({"x", "y", "busy"});
   for (std::size_t i = 0; i < y.size(); ++i) {
-    csv.add_row({util::fmt(y[i][0], 4), util::fmt(y[i][1], 4),
-                 labels[i] ? "1" : "0"});
+    table.add_row({util::fmt(y[i][0], 4), util::fmt(y[i][1], 4),
+                   labels[i] ? "1" : "0"});
   }
-  csv.write_csv(bench::out_dir() + "/fig16_tsne.csv");
+  bench::report(table, "fig16_tsne");
 
   std::printf("  %zu paths projected (%d busy, %d other)\n", y.size(), nb, nn);
   std::printf("  nearest-centroid label purity: %.1f%% (50%% = no structure)\n", purity);

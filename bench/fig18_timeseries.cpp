@@ -46,7 +46,6 @@ int main() {
     runs.push_back(std::move(run));
   }
 
-  util::Table table({"minute", "LP-top", "NCFlow", "POP", "Teal"});
   std::vector<sim::OnlineResult> results;
   for (const auto& r : runs) {
     sim::OnlineConfig ocfg;
@@ -54,25 +53,21 @@ int main() {
         bench::scheme_time_scale(r.name, inst->name, util::median(r.seconds));
     results.push_back(sim::replay_online(inst->pb, test, r.allocs, r.seconds, ocfg));
   }
-  util::Table csv({"scheme", "minute", "satisfied_pct", "started_solve"});
+  util::Table table({"minute", "scheme", "satisfied (%)", "started solve"});
   for (int t = 0; t < test.size(); ++t) {
-    std::vector<std::string> row = {std::to_string(t * 5)};
     for (std::size_t s = 0; s < runs.size(); ++s) {
       const auto& iv = results[s].intervals[static_cast<std::size_t>(t)];
-      row.push_back(util::fmt(iv.satisfied_pct, 1) + (iv.started_solve ? "*" : " "));
-      csv.add_row({runs[s].name, std::to_string(t * 5), util::fmt(iv.satisfied_pct, 2),
-                   iv.started_solve ? "1" : "0"});
+      table.add_row({std::to_string(t * 5), runs[s].name, util::fmt(iv.satisfied_pct, 2),
+                     iv.started_solve ? "yes" : "no"});
     }
-    table.add_row(row);
   }
-  std::printf("\nPer-interval satisfied demand (%%); '*' marks intervals where the\n"
-              "scheme started a new computation (others ride stale routes):\n%s",
-              table.to_string().c_str());
+  std::printf("\nPer-interval satisfied demand; 'started solve' marks intervals where\n"
+              "the scheme started a new computation (others ride stale routes):\n");
+  bench::report(table, "fig18_timeseries");
   for (std::size_t s = 0; s < runs.size(); ++s) {
     std::printf("  %-8s recomputed %zu/%d intervals, mean %.1f%%\n", runs[s].name.c_str(),
                 results[s].solve_times.size(), test.size(),
                 results[s].mean_satisfied_pct);
   }
-  csv.write_csv(bench::out_dir() + "/fig18_timeseries.csv");
   return 0;
 }

@@ -16,9 +16,9 @@
 //    solves finish on their pinned snapshot — tests/fleet_test.cpp pins the
 //    bit-identity half of that claim).
 //
-// Output: a per-tenant table on stdout, bench_out/fleet_serving.csv, and —
-// when run from the repo root — a ledger entry in EXPERIMENTS.md ("Fleet
-// serving ledger").
+// Output: one per-tenant table (bench::record) — stdout,
+// bench_out/fleet_serving.csv and, when run from the repo root, the
+// EXPERIMENTS.md "Fleet serving ledger".
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -35,42 +35,6 @@
 #include "serve/server.h"
 
 using namespace teal;
-
-namespace {
-
-struct TenantRow {
-  std::string tenant;
-  std::string topo;
-  std::size_t replicas = 0;
-  double weight = 0.0;
-  net::SlapTenantStats stats;
-};
-
-void append_experiments_ledger(const std::vector<TenantRow>& rows, double base_rps,
-                               double target_rps, const std::string& policy,
-                               std::uint64_t publishes, std::uint64_t final_version) {
-  std::string entry;
-  entry += "\n\n### Run " + bench::ledger_stamp();
-  entry += " — B4 + SWAN, " + policy + " placement, closed-loop capacity " +
-           util::fmt(base_rps, 1) + " solves/s, offered " + util::fmt(target_rps, 1) +
-           " req/s, " + std::to_string(publishes) + " publishes (final version " +
-           std::to_string(final_version) + ")" + (bench::fast_mode() ? " (fast mode)" : "");
-  entry += "\n\n| tenant | topology | replicas | weight | offered | responses | shed | errors | dropped | p50 (ms) | p99 (ms) |\n";
-  entry += "|---|---|---|---|---|---|---|---|---|---|---|\n";
-  for (const auto& r : rows) {
-    entry += "| " + r.tenant + " | " + r.topo + " | " + std::to_string(r.replicas) +
-             " | " + util::fmt(r.weight, 1) + " | " + std::to_string(r.stats.offered) +
-             " | " + std::to_string(r.stats.responses) + " | " +
-             std::to_string(r.stats.shed) + " | " + std::to_string(r.stats.errors) +
-             " | " + std::to_string(r.stats.dropped) + " | " +
-             util::fmt(r.stats.latency.percentile(50.0) * 1e3, 3) + " | " +
-             util::fmt(r.stats.latency.percentile(99.0) * 1e3, 3) + " |\n";
-  }
-  bench::insert_ledger_entry("<!-- bench_fleet_serving appends runs below this line -->",
-                             entry);
-}
-
-}  // namespace
 
 int main() {
   bench::print_header("Fleet serving",
@@ -176,49 +140,30 @@ int main() {
   const std::uint64_t final_version = teal_us->model_version();
 
   util::Table table({"tenant", "topology", "replicas", "weight", "offered", "responses",
-                     "shed", "errors", "dropped", "p50 ms", "p99 ms"});
-  util::Table csv({"tenant", "topology", "replicas", "weight", "offered", "responses",
-                   "shed", "errors", "dropped", "p50_ms", "p99_ms", "publishes"});
-  std::vector<TenantRow> rows;
+                     "shed", "errors", "dropped", "p50 (ms)", "p99 (ms)"});
   const char* topos[2] = {"B4", "SWAN"};
   bool balanced = true;
   for (std::size_t t = 0; t < stats.tenants.size(); ++t) {
-    TenantRow row;
-    row.tenant = stats.tenants[t].tenant;
-    row.topo = topos[t];
-    row.replicas = fleet.replicas(row.tenant);
-    row.weight = workloads[t].weight;
-    row.stats = stats.tenants[t];
-    const auto& s = row.stats;
+    const auto& s = stats.tenants[t];
     if (s.offered != s.responses + s.shed + s.errors + s.dropped) balanced = false;
-    rows.push_back(row);
-    table.add_row({row.tenant, row.topo, std::to_string(row.replicas),
-                   util::fmt(row.weight, 1), std::to_string(s.offered),
+    table.add_row({s.tenant, topos[t], std::to_string(fleet.replicas(s.tenant)),
+                   util::fmt(workloads[t].weight, 1), std::to_string(s.offered),
                    std::to_string(s.responses), std::to_string(s.shed),
                    std::to_string(s.errors), std::to_string(s.dropped),
-                   util::fmt(s.latency.percentile(50.0) * 1e3, 3),
-                   util::fmt(s.latency.percentile(99.0) * 1e3, 3)});
-    csv.add_row({row.tenant, row.topo, std::to_string(row.replicas),
-                 util::fmt(row.weight, 1), std::to_string(s.offered),
-                 std::to_string(s.responses), std::to_string(s.shed),
-                 std::to_string(s.errors), std::to_string(s.dropped),
-                 util::fmt(s.latency.percentile(50.0) * 1e3, 4),
-                 util::fmt(s.latency.percentile(99.0) * 1e3, 4),
-                 std::to_string(publishes.load())});
+                   util::fmt(s.latency.percentile(50.0) * 1e3, 4),
+                   util::fmt(s.latency.percentile(99.0) * 1e3, 4)});
   }
-  std::printf("%s", table.to_string().c_str());
-  std::printf("  hot-swap: %llu publishes during the run (final model version %llu)\n",
-              static_cast<unsigned long long>(publishes.load()),
-              static_cast<unsigned long long>(final_version));
+  bench::record(table, "fleet_serving",
+                "B4 + SWAN, " + policy + " placement, closed-loop capacity " +
+                    util::fmt(base_rps, 1) + " solves/s, offered " +
+                    util::fmt(cfg.target_rps, 1) + " req/s, " +
+                    std::to_string(publishes.load()) + " publishes (final version " +
+                    std::to_string(final_version) + ")");
   std::printf("  per-tenant ledgers %s; fleet backend completed %llu of %llu accepted\n",
               balanced ? "balance" : "DO NOT BALANCE",
               static_cast<unsigned long long>(fstats.completed()),
               static_cast<unsigned long long>(fstats.accepted()));
   std::printf("  expectation: zero shed/errors/dropped at 0.8x capacity — a publish\n"
               "  must never cost a request.\n");
-
-  csv.write_csv(bench::out_dir() + "/fleet_serving.csv");
-  append_experiments_ledger(rows, base_rps, cfg.target_rps, policy, publishes.load(),
-                            final_version);
   return balanced ? 0 : 1;
 }

@@ -14,9 +14,9 @@
 // the shed column is work the server refused because it could not start it
 // within the deadline.
 //
-// Output: a table on stdout, bench_out/serve_scaling.csv, and — when run
-// from the repo root — a ledger entry in EXPERIMENTS.md ("Serving
-// throughput ledger").
+// Output: one table (bench::record) — stdout, bench_out/serve_scaling.csv
+// and, when run from the repo root, the EXPERIMENTS.md "Serving throughput
+// ledger".
 #include <algorithm>
 #include <cstdio>
 #include <thread>
@@ -25,41 +25,6 @@
 #include "sim/served.h"
 
 using namespace teal;
-
-namespace {
-
-struct SweepRow {
-  std::size_t replicas = 0;
-  double solves_per_sec = 0.0;
-  double speedup = 0.0;
-  double solve_p50_ms = 0.0;
-  double solve_p99_ms = 0.0;
-  double response_p99_ms = 0.0;
-  std::uint64_t shed = 0;
-};
-
-void append_experiments_ledger(const std::vector<SweepRow>& rows, int n_requests,
-                               unsigned hw_threads) {
-  // Marker-based insert (newest first), like every other ledger bench: a
-  // plain end-of-file append would leak entries into whatever section comes
-  // after this ledger in EXPERIMENTS.md.
-  std::string entry;
-  entry += "\n\n### Run " + bench::ledger_stamp();
-  entry += " — " + std::to_string(n_requests) + " requests, " +
-           std::to_string(hw_threads) + " hardware threads" +
-           (bench::fast_mode() ? " (fast mode)" : "");
-  entry += "\n\n| replicas | solves/sec | speedup | solve p50 (ms) | solve p99 (ms) | shed |\n";
-  entry += "|---|---|---|---|---|---|\n";
-  for (const auto& r : rows) {
-    entry += "| " + std::to_string(r.replicas) + " | " + util::fmt(r.solves_per_sec, 1) +
-             " | " + util::fmt(r.speedup, 2) + "x | " + util::fmt(r.solve_p50_ms, 3) +
-             " | " + util::fmt(r.solve_p99_ms, 3) + " | " + std::to_string(r.shed) + " |\n";
-  }
-  bench::insert_ledger_entry("<!-- bench_serve_scaling appends runs below this line -->",
-                             entry);
-}
-
-}  // namespace
 
 int main() {
   bench::print_header("Serve scaling",
@@ -89,12 +54,9 @@ int main() {
   };
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  util::Table table({"replicas", "solves/sec", "speedup", "solve p50 ms", "solve p99 ms",
-                     "resp p99 ms", "shed"});
-  util::Table csv({"replicas", "solves_per_sec", "speedup", "solve_p50_ms", "solve_p99_ms",
-                   "response_p99_ms", "shed", "wall_seconds"});
-  std::vector<SweepRow> rows;
-  double base_throughput = 0.0;
+  util::Table table({"replicas", "solves/s", "speedup (x)", "solve p50 (ms)",
+                     "solve p99 (ms)", "response p99 (ms)", "shed", "wall (s)"});
+  double base_throughput = 0.0, prev_throughput = 0.0;
   bool monotonic = true;
   for (std::size_t r = 1; r <= hw; ++r) {
     sim::ServedFleetConfig cfg;
@@ -103,27 +65,20 @@ int main() {
     // Saturation mode: one burst, no deadline — measures pure service capacity.
     const auto res = serve(cfg);
     const auto& s = res.stats.tenants[0].serve;
-    SweepRow row;
-    row.replicas = r;
-    row.solves_per_sec = s.throughput();
-    if (r == 1) base_throughput = row.solves_per_sec;
-    if (!rows.empty() && row.solves_per_sec < rows.back().solves_per_sec) monotonic = false;
-    row.speedup = base_throughput > 0.0 ? row.solves_per_sec / base_throughput : 0.0;
-    row.solve_p50_ms = s.solve.percentile(50.0) * 1e3;
-    row.solve_p99_ms = s.solve.percentile(99.0) * 1e3;
-    row.response_p99_ms = s.response.percentile(99.0) * 1e3;
-    row.shed = s.shed;
-    rows.push_back(row);
-    table.add_row({std::to_string(r), util::fmt(row.solves_per_sec, 1),
-                   util::fmt(row.speedup, 2), util::fmt(row.solve_p50_ms, 3),
-                   util::fmt(row.solve_p99_ms, 3), util::fmt(row.response_p99_ms, 3),
-                   std::to_string(row.shed)});
-    csv.add_row({std::to_string(r), util::fmt(row.solves_per_sec, 2),
-                 util::fmt(row.speedup, 3), util::fmt(row.solve_p50_ms, 4),
-                 util::fmt(row.solve_p99_ms, 4), util::fmt(row.response_p99_ms, 4),
-                 std::to_string(row.shed), util::fmt(s.wall_seconds, 4)});
+    const double throughput = s.throughput();
+    if (r == 1) base_throughput = throughput;
+    if (throughput < prev_throughput) monotonic = false;
+    prev_throughput = throughput;
+    table.add_row({std::to_string(r), util::fmt(throughput, 2),
+                   util::fmt(base_throughput > 0.0 ? throughput / base_throughput : 0.0, 3),
+                   util::fmt(s.solve.percentile(50.0) * 1e3, 4),
+                   util::fmt(s.solve.percentile(99.0) * 1e3, 4),
+                   util::fmt(s.response.percentile(99.0) * 1e3, 4), std::to_string(s.shed),
+                   util::fmt(s.wall_seconds, 4)});
   }
-  std::printf("%s", table.to_string().c_str());
+  bench::record(table, "serve_scaling",
+                std::to_string(n_requests) + " requests, " + std::to_string(hw) +
+                    " hardware threads");
   std::printf("  throughput monotonic over 1..%u replicas: %s\n", hw,
               hw == 1 ? "n/a (1 hardware thread)" : (monotonic ? "yes" : "NO"));
 
@@ -147,8 +102,5 @@ int main() {
                               : 0.0,
                 s.response.percentile(99.0) * 1e3);
   }
-
-  csv.write_csv(bench::out_dir() + "/serve_scaling.csv");
-  append_experiments_ledger(rows, n_requests, hw);
   return 0;
 }

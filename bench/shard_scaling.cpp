@@ -11,10 +11,10 @@
 // every sweep point), the sweep isolates pure scheduling cost: wall-clock
 // per solve as shards go 1 → threads.
 //
-// Output: a table on stdout, bench_out/shard_scaling.csv, and — when run
-// from the repo root — an appended entry in the EXPERIMENTS.md "Shard
-// scaling ledger". On a single-core machine the sweep degenerates (shards
-// inline); set TEAL_POOL_THREADS to exercise the fan-out paths anyway.
+// Output: one table (bench::record) — stdout, bench_out/shard_scaling.csv
+// and, when run from the repo root, the EXPERIMENTS.md "Shard scaling
+// ledger". On a single-core machine the sweep degenerates (shards inline);
+// set TEAL_POOL_THREADS to exercise the fan-out paths anyway.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -28,46 +28,6 @@
 #include "util/timer.h"
 
 using namespace teal;
-
-namespace {
-
-struct SweepRow {
-  int shards = 0;           // requested (0 = auto)
-  int plan_shards = 0;      // resolved plan
-  double median_ms = 0.0;
-  double speedup = 0.0;     // vs 1 shard
-  double balance = 0.0;     // min/max per-shard busy time (1.0 = perfect)
-  bool identical = false;   // bit-identical to the sequential solve
-};
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v.empty() ? 0.0 : v[v.size() / 2];
-}
-
-// Builds the run entry and inserts it below the section's marker line
-// (newest first) via the shared bench::insert_ledger_entry helper.
-void append_experiments_ledger(const std::vector<SweepRow>& rows, int n_demands,
-                               std::size_t pool_threads, unsigned hw_threads) {
-  std::string entry;
-  entry += "\n\n### Run " + bench::ledger_stamp();
-  entry += " — ASN, " + std::to_string(n_demands) + " demands, pool " +
-           std::to_string(pool_threads) + " threads on " + std::to_string(hw_threads) +
-           " hardware" + (bench::fast_mode() ? " (fast mode)" : "") + "\n\n" +
-           "| shards | solve p50 (ms) | speedup | balance | bit-identical |\n" +
-           "|---|---|---|---|---|\n";
-  for (const auto& r : rows) {
-    entry += "| " + (r.shards == 0 ? std::string("auto→") + std::to_string(r.plan_shards)
-                                   : std::to_string(r.plan_shards)) +
-             " | " + util::fmt(r.median_ms, 3) + " | " + util::fmt(r.speedup, 2) +
-             "x | " + util::fmt(r.balance, 2) + " | " + (r.identical ? "yes" : "NO") +
-             " |\n";
-  }
-  bench::insert_ledger_entry("<!-- bench_shard_scaling inserts runs below this line -->",
-                             entry);
-}
-
-}  // namespace
 
 int main() {
   bench::print_header("Shard scaling",
@@ -92,11 +52,10 @@ int main() {
   if (pool_threads > 1) sweep.push_back(static_cast<int>(pool_threads));
   sweep.push_back(0);  // auto
 
-  util::Table table({"shards", "plan", "solve p50 ms", "speedup", "balance", "identical"});
-  util::Table csv({"requested_shards", "plan_shards", "solve_p50_ms", "speedup",
-                   "balance", "identical"});
-  std::vector<SweepRow> rows;
-  double base_ms = 0.0;
+  util::Table table({"shards", "plan shards", "solve p50 (ms)", "speedup (x)", "balance",
+                     "bit-identical"});
+  double base_ms = 0.0, speedup_at_4 = 0.0;
+  bool all_identical = true;
   for (int requested : sweep) {
     core::SolveWorkspace ws;
     te::Allocation out;
@@ -108,43 +67,34 @@ int main() {
       teal->solve_replica(ws, inst->pb, tm, out, &s, requested);
       ms.push_back(s * 1e3);
     }
-    SweepRow row;
-    row.shards = requested;
-    row.plan_shards = ws.plan.n_shards;
-    row.median_ms = median(ms);
-    if (requested == 1) base_ms = row.median_ms;
-    row.speedup = row.median_ms > 0.0 && base_ms > 0.0 ? base_ms / row.median_ms : 0.0;
+    const double median_ms = util::median(ms);
+    if (requested == 1) base_ms = median_ms;
+    const double speedup = median_ms > 0.0 && base_ms > 0.0 ? base_ms / median_ms : 0.0;
+    if (requested == 4) speedup_at_4 = speedup;
     double busy_min = 1e300, busy_max = 0.0;
     for (int s = 0; s < ws.plan.n_shards; ++s) {
       busy_min = std::min(busy_min, ws.shard_stats[static_cast<std::size_t>(s)].busy_seconds);
       busy_max = std::max(busy_max, ws.shard_stats[static_cast<std::size_t>(s)].busy_seconds);
     }
-    row.balance = busy_max > 0.0 ? busy_min / busy_max : 1.0;
+    // min/max per-shard busy time (1.0 = perfect).
+    const double balance = busy_max > 0.0 ? busy_min / busy_max : 1.0;
     // True byte comparison (not double ==, which conflates +0.0/-0.0).
-    row.identical =
+    const bool identical =
         out.split.size() == ref.split.size() &&
         (ref.split.empty() ||
          std::memcmp(out.split.data(), ref.split.data(),
                      ref.split.size() * sizeof(double)) == 0);
-    rows.push_back(row);
-    const std::string req = requested == 0 ? "auto" : std::to_string(requested);
-    table.add_row({req, std::to_string(row.plan_shards), util::fmt(row.median_ms, 3),
-                   util::fmt(row.speedup, 2), util::fmt(row.balance, 2),
-                   row.identical ? "yes" : "NO"});
-    csv.add_row({req, std::to_string(row.plan_shards), util::fmt(row.median_ms, 4),
-                 util::fmt(row.speedup, 3), util::fmt(row.balance, 3),
-                 row.identical ? "1" : "0"});
+    all_identical = all_identical && identical;
+    table.add_row({requested == 0 ? "auto" : std::to_string(requested),
+                   std::to_string(ws.plan.n_shards), util::fmt(median_ms, 4),
+                   util::fmt(speedup, 3), util::fmt(balance, 3), identical ? "yes" : "NO"});
   }
-  std::printf("%s", table.to_string().c_str());
-
-  bool all_identical = true;
-  for (const auto& r : rows) all_identical = all_identical && r.identical;
+  bench::record(table, "shard_scaling",
+                "ASN, " + std::to_string(inst->pb.num_demands()) + " demands, pool " +
+                    std::to_string(pool_threads) + " threads on " + std::to_string(hw) +
+                    " hardware");
   std::printf("  bit-identical to the sequential solve at every shard count: %s\n",
               all_identical ? "yes" : "NO");
-  double speedup_at_4 = 0.0;
-  for (const auto& r : rows) {
-    if (r.shards == 4) speedup_at_4 = r.speedup;
-  }
   if (speedup_at_4 > 0.0) {
     std::printf("  single-solve speedup at 4 shards: %.2fx (acceptance target > 1.5x on\n"
                 "  >= 4 hardware threads)\n", speedup_at_4);
@@ -152,8 +102,5 @@ int main() {
     std::printf("  4-shard point not reached (pool %zu threads); run on >= 4 cores for\n"
                 "  the acceptance sweep\n", pool_threads);
   }
-
-  csv.write_csv(bench::out_dir() + "/shard_scaling.csv");
-  append_experiments_ledger(rows, inst->pb.num_demands(), pool_threads, hw);
   return all_identical ? 0 : 1;
 }

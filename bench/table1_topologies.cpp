@@ -40,10 +40,9 @@ int main() {
                        util::fmt(util::percentile(share, 50), 1) + " / " +
                        util::fmt(util::percentile(share, 75), 1)});
   }
-  std::printf("%s", table.to_string().c_str());
+  bench::report(table, "table1_topologies");
   std::printf("\nPaper reference (Table 3): B4 2.3/5, UsCarrier 12.1/35, Kdl 22.7/58, "
               "ASN 3.2/8.\nASN's low per-edge routable share (Fig 17) comes from its "
               "star-cluster structure.\n");
-  table.write_csv(bench::out_dir() + "/table1_topologies.csv");
   return 0;
 }

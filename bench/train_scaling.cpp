@@ -10,10 +10,10 @@
 // sweep demonstrates is that the CPU reproduction's training step scales
 // with cores without changing a single trained bit.
 //
-// Output: a table on stdout, bench_out/train_scaling.csv, and — when run
-// from the repo root — an inserted entry in the EXPERIMENTS.md "Training
-// scaling ledger". On a single-core machine the sweep degenerates (workers
-// inline); set TEAL_POOL_THREADS to exercise the fan-out paths anyway.
+// Output: one table (bench::record) — stdout, bench_out/train_scaling.csv
+// and, when run from the repo root, the EXPERIMENTS.md "Training scaling
+// ledger". On a single-core machine the sweep degenerates (workers inline);
+// set TEAL_POOL_THREADS to exercise the fan-out paths anyway.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -29,14 +29,6 @@
 using namespace teal;
 
 namespace {
-
-struct SweepRow {
-  int workers = 0;          // requested (0 = auto)
-  double seconds = 0.0;     // wall time of the training run
-  double speedup = 0.0;     // vs 1 worker
-  std::uint64_t warm_allocs = 0;
-  bool identical = false;   // parameters byte-equal to the 1-worker run
-};
 
 std::vector<std::vector<double>> snapshot_params(core::Model& model) {
   std::vector<std::vector<double>> out;
@@ -59,26 +51,6 @@ bool params_equal(const std::vector<std::vector<double>>& a,
   return true;
 }
 
-void append_experiments_ledger(const std::vector<SweepRow>& rows, int n_demands,
-                               int rollout_batch, std::size_t pool_threads,
-                               unsigned hw_threads) {
-  std::string entry;
-  entry += "\n\n### Run " + bench::ledger_stamp();
-  entry += " — SWAN, " + std::to_string(n_demands) + " demands, rollout batch " +
-           std::to_string(rollout_batch) + ", pool " + std::to_string(pool_threads) +
-           " threads on " + std::to_string(hw_threads) + " hardware" +
-           (bench::fast_mode() ? " (fast mode)" : "") + "\n\n" +
-           "| workers | train wall (s) | speedup | warm-step allocs | bit-identical |\n" +
-           "|---|---|---|---|---|\n";
-  for (const auto& r : rows) {
-    entry += "| " + (r.workers == 0 ? std::string("auto") : std::to_string(r.workers)) +
-             " | " + util::fmt(r.seconds, 3) + " | " + util::fmt(r.speedup, 2) + "x | " +
-             std::to_string(r.warm_allocs) + " | " + (r.identical ? "yes" : "NO") + " |\n";
-  }
-  bench::insert_ledger_entry("<!-- bench_train_scaling inserts runs below this line -->",
-                             entry);
-}
-
 }  // namespace
 
 int main() {
@@ -99,11 +71,11 @@ int main() {
   if (pool_threads > 1) sweep.push_back(static_cast<int>(pool_threads));
   sweep.push_back(0);  // auto
 
-  util::Table table({"workers", "train wall s", "speedup", "warm allocs", "identical"});
-  util::Table csv({"workers", "train_wall_s", "speedup", "warm_step_allocs", "identical"});
-  std::vector<SweepRow> rows;
+  util::Table table({"workers", "train wall (s)", "speedup (x)", "warm-step allocs",
+                     "bit-identical"});
   std::vector<std::vector<double>> ref_params;
-  double base_s = 0.0;
+  double base_s = 0.0, speedup_at_4 = 0.0;
+  bool all_identical = true, allocs_clean = true;
   for (int requested : sweep) {
     // Fresh deterministic model per point: training itself is the workload.
     core::TealModel model(core::TealModelConfig{}, inst->pb.k_paths(), /*seed=*/3);
@@ -111,38 +83,29 @@ int main() {
     util::Timer timer;
     auto stats =
         core::train_coma(model, inst->pb, inst->split.train, te::Objective::kTotalFlow, cfg);
-    SweepRow row;
-    row.workers = requested;
-    row.seconds = timer.seconds();
-    row.warm_allocs = stats.warm_step_allocs;
+    const double seconds = timer.seconds();
     if (requested == 1) {
-      base_s = row.seconds;
+      base_s = seconds;
       ref_params = snapshot_params(model);
     }
-    row.speedup = row.seconds > 0.0 && base_s > 0.0 ? base_s / row.seconds : 0.0;
-    row.identical = params_equal(ref_params, snapshot_params(model));
-    rows.push_back(row);
-    const std::string req = requested == 0 ? "auto" : std::to_string(requested);
-    table.add_row({req, util::fmt(row.seconds, 3), util::fmt(row.speedup, 2),
-                   std::to_string(row.warm_allocs), row.identical ? "yes" : "NO"});
-    csv.add_row({req, util::fmt(row.seconds, 4), util::fmt(row.speedup, 3),
-                 std::to_string(row.warm_allocs), row.identical ? "1" : "0"});
+    const double speedup = seconds > 0.0 && base_s > 0.0 ? base_s / seconds : 0.0;
+    if (requested == 4) speedup_at_4 = speedup;
+    const bool identical = params_equal(ref_params, snapshot_params(model));
+    all_identical = all_identical && identical;
+    allocs_clean = allocs_clean && stats.warm_step_allocs == 0;
+    table.add_row({requested == 0 ? "auto" : std::to_string(requested), util::fmt(seconds, 4),
+                   util::fmt(speedup, 3), std::to_string(stats.warm_step_allocs),
+                   identical ? "yes" : "NO"});
   }
-  std::printf("%s", table.to_string().c_str());
-
-  bool all_identical = true, allocs_clean = true;
-  for (const auto& r : rows) {
-    all_identical = all_identical && r.identical;
-    allocs_clean = allocs_clean && r.warm_allocs == 0;
-  }
+  bench::record(table, "train_scaling",
+                "SWAN, " + std::to_string(inst->pb.num_demands()) + " demands, rollout batch " +
+                    std::to_string(cfg.rollout_batch) + ", pool " +
+                    std::to_string(pool_threads) + " threads on " + std::to_string(hw) +
+                    " hardware");
   std::printf("  parameters bit-identical to the 1-worker run at every sweep point: %s\n",
               all_identical ? "yes" : "NO");
   std::printf("  warm training steps allocation-free at every sweep point: %s\n",
               allocs_clean ? "yes" : "NO");
-  double speedup_at_4 = 0.0;
-  for (const auto& r : rows) {
-    if (r.workers == 4) speedup_at_4 = r.speedup;
-  }
   if (speedup_at_4 > 0.0) {
     std::printf("  training speedup at 4 workers: %.2fx (meaningful only on >= 4\n"
                 "  hardware threads)\n", speedup_at_4);
@@ -150,9 +113,5 @@ int main() {
     std::printf("  4-worker point not reached (pool %zu threads); run on >= 4 cores\n"
                 "  for the full sweep\n", pool_threads);
   }
-
-  csv.write_csv(bench::out_dir() + "/train_scaling.csv");
-  append_experiments_ledger(rows, inst->pb.num_demands(), cfg.rollout_batch, pool_threads,
-                            hw);
   return all_identical && allocs_clean ? 0 : 1;
 }

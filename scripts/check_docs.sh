@@ -9,7 +9,7 @@
 # Also guards the reference that motivated EXPERIMENTS.md in the first
 # place: bench/common.h documents its time-anchoring policy there, so the
 # file must exist and contain the serving ledger section bench_serve_scaling
-# appends to.
+# inserts into.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,7 +43,7 @@ done
 
 if [ -f EXPERIMENTS.md ] && ! grep -q 'Serving throughput ledger' EXPERIMENTS.md; then
   echo "ERROR: EXPERIMENTS.md lost the 'Serving throughput ledger' section" \
-       "that bench_serve_scaling appends to"
+       "that bench_serve_scaling inserts into"
   fail=1
 fi
 
@@ -78,15 +78,9 @@ if [ -f EXPERIMENTS.md ] && ! grep -q 'Cold-start ledger' EXPERIMENTS.md; then
   fail=1
 fi
 
-if [ -f EXPERIMENTS.md ] && ! grep -q 'Latency under load' EXPERIMENTS.md; then
-  echo "ERROR: EXPERIMENTS.md lost the 'Latency under load' section" \
-       "that bench_net_serving appends to"
-  fail=1
-fi
-
 if [ -f EXPERIMENTS.md ] && ! grep -q 'Fleet serving ledger' EXPERIMENTS.md; then
   echo "ERROR: EXPERIMENTS.md lost the 'Fleet serving ledger' section" \
-       "that bench_fleet_serving appends to"
+       "that bench_fleet_serving inserts into"
   fail=1
 fi
 
@@ -106,18 +100,18 @@ if [ -f EXPERIMENTS.md ]; then
     name=$(basename "$src" .cpp)
     [ "$name" = "common" ] && continue
     # A ledger bench is one that writes runs into EXPERIMENTS.md — either
-    # through the shared bench::insert_ledger_entry helper or by opening the
-    # file directly.
-    if grep -q 'insert_ledger_entry' "$src" || \
+    # through the shared writer bench::record or by opening the file
+    # directly.
+    if grep -q 'bench::record(' "$src" || \
        { grep -q 'EXPERIMENTS\.md' "$src" && grep -q 'ofstream' "$src"; }; then
-      if ! grep -Eq "<!-- bench_${name} (appends|inserts) runs below this line -->" EXPERIMENTS.md; then
+      if ! grep -q "<!-- bench_${name} inserts runs below this line -->" EXPERIMENTS.md; then
         echo "ERROR: bench_${name} writes runs into EXPERIMENTS.md but the ledger" \
              "marker '<!-- bench_${name} ... runs below this line -->' is missing"
         fail=1
       fi
     fi
   done
-  for target in $(grep -oE '<!-- bench_[a-z0-9_]+ (appends|inserts) runs below this line -->' EXPERIMENTS.md \
+  for target in $(grep -oE '<!-- bench_[a-z0-9_]+ inserts runs below this line -->' EXPERIMENTS.md \
                     | grep -oE 'bench_[a-z0-9_]+' | sort -u); do
     src="bench/${target#bench_}.cpp"
     if [ ! -f "$src" ]; then

@@ -20,9 +20,8 @@
 // What comes back is the serving story end to end: response latency
 // percentiles (send → response, i.e. including queue wait and the wire),
 // achieved throughput, and the server's explicit shed frames counted
-// separately from errors. bench/net_serving.cpp sweeps the offered rate
-// through this harness into the EXPERIMENTS.md "Latency under load" ledger;
-// tools/teal_slap.cpp is the standalone CLI.
+// separately from errors. bench/fleet_serving.cpp drives a multi-tenant mix
+// through this harness; tools/teal_slap.cpp is the standalone CLI.
 #pragma once
 
 #include <cstdint>

@@ -60,35 +60,31 @@ void GradAccum::reduce_into(const std::vector<Param*>& params) const {
   }
 }
 
-LinearF32 Linear::snapshot_f32() const {
-  LinearF32 s;
-  s.w.resize(weight_.w.rows(), weight_.w.cols());
-  for (std::size_t i = 0; i < weight_.w.size(); ++i) {
-    s.w.data()[i] = static_cast<float>(weight_.w.data()[i]);
+namespace {
+
+// Narrows the parameters to f32 (round to nearest) and packs the weights, so
+// both narrowed layouts are built from identical float weights; the bf16
+// pack_weights overload then rounds-to-nearest-even per weight.
+template <typename W>
+PackedLinear<W> snapshot_packed(const Mat& weight, const Mat& bias) {
+  MatF w(weight.rows(), weight.cols());
+  for (std::size_t i = 0; i < weight.size(); ++i) {
+    w.data()[i] = static_cast<float>(weight.data()[i]);
   }
-  s.b.resize(bias_.w.data().size());
-  for (std::size_t i = 0; i < s.b.size(); ++i) {
-    s.b[i] = static_cast<float>(bias_.w.data()[i]);
-  }
+  PackedLinear<W> s;
+  pack_weights(w, s.w);
+  s.b.assign(bias.data().begin(), bias.data().end());
   return s;
 }
 
+}  // namespace
+
 LinearPackedF32 Linear::snapshot_packed_f32() const {
-  // Pack via the row-major f32 snapshot so both narrowed layouts are built
-  // from identical float weights.
-  LinearF32 flat = snapshot_f32();
-  LinearPackedF32 s;
-  pack_weights(flat.w, s.w);
-  s.b = std::move(flat.b);
-  return s;
+  return snapshot_packed<float>(weight_.w, bias_.w);
 }
 
 LinearBf16 Linear::snapshot_bf16() const {
-  LinearF32 flat = snapshot_f32();
-  LinearBf16 s;
-  pack_weights(flat.w, s.w);  // bf16 overload rounds-to-nearest-even per weight
-  s.b = std::move(flat.b);
-  return s;
+  return snapshot_packed<bf16>(weight_.w, bias_.w);
 }
 
 Adam::Adam(std::vector<Param*> params, double lr_in, double beta1, double beta2, double eps)

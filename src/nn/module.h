@@ -62,29 +62,15 @@ class GradAccum {
 // Xavier-uniform init, the default for the small dense layers here.
 void xavier_init(Mat& w, util::Rng& rng);
 
-// f32 inference snapshot of a Linear: weights and bias narrowed once, read-only
-// afterwards. The narrowed solve path (TealScheme::set_precision(f32)) runs its
-// forward through these snapshots while training and the f64 path keep using
-// the double parameters — re-snapshot (Linear::snapshot_f32) after any further
-// parameter update.
-struct LinearF32 {
-  MatF w;               // (out, in)
-  std::vector<float> b; // (out)
-
-  void forward_rows(const MatF& x, MatF& y, int row_begin, int row_end) const {
-    linear_forward_rows(x, w, b, y, row_begin, row_end);
-  }
-  int in_features() const { return w.cols(); }
-  int out_features() const { return w.rows(); }
-};
-
-// Blocked-layout inference snapshot: weights live in lane-blocked panels
-// (nn::PackedMat) so forward_rows runs the broadcast-FMA kernel instead of
-// the strided dot products. W = float is the default narrowed (f32) path;
-// W = bf16 stores the weights rounded to bfloat16 (round-to-nearest-even at
-// snapshot time, widened back to f32 in the kernel inner loop) — activations
-// and bias stay f32 either way. Same read-only/re-snapshot contract as
-// LinearF32.
+// Narrowed inference snapshot of a Linear: weights and bias narrowed once,
+// read-only afterwards. The narrowed solve paths (TealScheme::set_precision)
+// run their forward through these snapshots while training and the f64 path
+// keep using the double parameters — re-snapshot after any further parameter
+// update. Weights live in lane-blocked panels (nn::PackedMat) so forward_rows
+// runs the broadcast-FMA kernel instead of strided dot products. W = float is
+// the default narrowed (f32) path; W = bf16 stores the weights rounded to
+// bfloat16 (round-to-nearest-even at snapshot time, widened back to f32 in
+// the kernel inner loop) — activations and bias stay f32 either way.
 template <typename W>
 struct PackedLinear {
   PackedMat<W> w;       // (out, in) lane-blocked panels
@@ -118,10 +104,6 @@ class Linear {
   // are safe, which is what fans batched training out across workers.
   void backward_acc(const Mat& x, const Mat& gy, Mat& gx, Mat& gw, Mat& gb) const;
 
-  // Narrows the current parameters into an f32 inference snapshot (row-major;
-  // kept for kernel-comparison tests/benches — the solve path snapshots the
-  // blocked variants below).
-  LinearF32 snapshot_f32() const;
   // Blocked-panel snapshots for the narrowed solve paths: f64 -> f32 (round
   // to nearest) packed into panels, and f64 -> f32 -> bf16 (round-to-nearest-
   // even on the second narrowing) for the storage-halved variant.

@@ -55,12 +55,7 @@ void Fleet::start() {
   if (started_) throw std::logic_error("Fleet::start: already started");
   if (tenants_.empty()) throw std::logic_error("Fleet::start: no tenants registered");
 
-  const PlacementPolicy* policy = cfg_.policy_obj.get();
-  PlacementPolicyPtr named;
-  if (policy == nullptr) {
-    named = make_placement_policy(cfg_.policy);
-    policy = named.get();
-  }
+  const PlacementPolicyPtr policy = make_placement_policy(cfg_.policy);
 
   std::size_t budget = cfg_.total_replicas;
   if (budget == 0) budget = std::max(1u, std::thread::hardware_concurrency());
@@ -116,7 +111,7 @@ void Fleet::drain() {
 FleetStats Fleet::stop() {
   std::lock_guard lk(stop_mu_);
   if (stopped_.load()) return final_stats_;
-  final_stats_.policy = cfg_.policy_obj ? cfg_.policy_obj->name() : cfg_.policy;
+  final_stats_.policy = cfg_.policy;
   for (auto& t : tenants_) {
     TenantStats ts;
     ts.name = t.cfg.name;

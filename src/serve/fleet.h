@@ -64,10 +64,8 @@ struct FleetConfig {
   // Replica budget across all tenants; 0 = hardware concurrency. Policies
   // other than static spend exactly max(budget, n_tenants).
   std::size_t total_replicas = 0;
-  // Placement policy by name (serve/placement.h). `policy_obj` takes
-  // precedence when set (custom policies plug in here).
+  // Placement policy by name (serve/placement.h).
   std::string policy = "load-proportional";
-  PlacementPolicyPtr policy_obj;
 };
 
 struct TenantStats {

@@ -1,12 +1,12 @@
-// placement.h — pluggable replica-placement policies for the serving fleet.
+// placement.h — named replica-placement policies for the serving fleet.
 //
 // A fleet has one replica budget (usually the machine's core count) and many
 // tenants; the placement policy decides how many replicas each tenant's
 // server gets. The seam is deliberately narrow — a pure function from
 // per-tenant demand descriptors to per-tenant counts — so policies stay
-// stateless, trivially testable, and swappable at fleet construction without
-// touching the registry or the routing path (the scheduler-plugin shape:
-// policy code never sees a socket or a queue).
+// stateless, trivially testable, and chosen by name at fleet construction
+// without touching the registry or the routing path (the scheduler-plugin
+// shape: policy code never sees a socket or a queue).
 //
 // Three policies to start:
 //  * static        — honor each tenant's requested_replicas verbatim

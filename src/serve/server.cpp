@@ -85,7 +85,6 @@ SubmitResult Server::submit(const te::TrafficMatrix& tm, te::Allocation& out,
 
 void Server::replica_loop(std::size_t index) {
   util::set_current_thread_name("teal-serve", index);
-  if (cfg_.pin_replicas) util::pin_current_thread(index);
   // Thread composition is the replica's own business (Replica::solve holds
   // ThreadPool::ScopedInline for sequential solves, or fans demand shards
   // out to the pool when the serving cost model granted it threads) — the

@@ -55,8 +55,6 @@ struct ServeConfig {
   // Per-solve time estimate for the admission bound. 0 = adapt: EWMA of
   // completed solve times.
   double expected_solve_seconds = 0.0;
-  // Best-effort: pin replica i to CPU i (for reproducible scaling runs).
-  bool pin_replicas = false;
 };
 
 struct ReplicaStats {

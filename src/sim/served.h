@@ -45,9 +45,8 @@ struct ServedTenant {
 };
 
 struct ServedFleetConfig {
-  // Replica budget + placement policy by name (FleetConfig isn't copyable —
-  // it can own a policy object — so the replay config carries the two plain
-  // knobs; plug a custom policy through serve::Fleet directly).
+  // Copied into the replay's serve::FleetConfig: replica budget and
+  // placement policy by name (serve/placement.h).
   std::size_t total_replicas = 0;  // 0 = hardware concurrency
   std::string policy = "load-proportional";
   // Open-loop spacing between merged arrivals (across all tenants).

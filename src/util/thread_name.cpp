@@ -1,11 +1,7 @@
 #include "util/thread_name.h"
 
-#include <algorithm>
-#include <thread>
-
 #if defined(__linux__)
 #include <pthread.h>
-#include <sched.h>
 #endif
 
 namespace teal::util {
@@ -31,18 +27,5 @@ void set_current_thread_name(const char* prefix, std::size_t index) {
 }
 
 const std::string& current_thread_name() { return t_thread_name; }
-
-bool pin_current_thread(std::size_t cpu) {
-#if defined(__linux__)
-  const unsigned n_cpus = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(cpu % n_cpus), &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)cpu;
-  return false;
-#endif
-}
 
 }  // namespace teal::util

@@ -1,11 +1,9 @@
-// thread_name.h — thread naming/affinity helpers shared by every component
-// that owns threads (util::ThreadPool workers, serve::Server replicas).
+// thread_name.h — thread naming shared by every component that owns threads
+// (util::ThreadPool workers, serve::Server replicas).
 //
 // Naming shows up in debuggers, `top -H` and perf profiles, which is how the
 // serving benches attribute time between pool workers ("teal-pool/N") and
-// serving replicas ("teal-serve/N"). Pinning is optional and best-effort:
-// the serving layer offers it for reproducible scaling runs, but correctness
-// never depends on it.
+// serving replicas ("teal-serve/N").
 #pragma once
 
 #include <cstddef>
@@ -23,10 +21,5 @@ void set_current_thread_name(const char* prefix, std::size_t index);
 // Full (untruncated) name set via set_current_thread_name for this thread;
 // empty string if it was never named.
 const std::string& current_thread_name();
-
-// Best-effort pin of the calling thread to `cpu` (mod the hardware CPU
-// count). Returns true when the affinity call succeeded, false where
-// unsupported or rejected; callers must treat pinning as a hint.
-bool pin_current_thread(std::size_t cpu);
 
 }  // namespace teal::util

@@ -104,27 +104,6 @@ TEST(Mat, PoisonFillsSignalingNaNs) {
   for (double v : m.data()) EXPECT_TRUE(std::isnan(v));
 }
 
-TEST(LinearF32, SnapshotMatchesDoubleForward) {
-  util::Rng rng(15);
-  nn::Linear lin(6, 4, rng);
-  nn::Mat x(3, 6);
-  for (auto& v : x.data()) v = rng.normal();
-  nn::Mat y;
-  lin.forward(x, y);
-
-  nn::LinearF32 snap = lin.snapshot_f32();
-  EXPECT_EQ(snap.in_features(), 6);
-  EXPECT_EQ(snap.out_features(), 4);
-  nn::MatF xf(3, 6), yf(3, 4);
-  for (std::size_t i = 0; i < x.data().size(); ++i) {
-    xf.data()[i] = static_cast<float>(x.data()[i]);
-  }
-  snap.forward_rows(xf, yf, 0, 3);
-  for (std::size_t i = 0; i < y.data().size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(yf.data()[i]), y.data()[i], 1e-5);
-  }
-}
-
 // ---- bf16 storage type ---------------------------------------------------
 
 TEST(Bf16, WidenIsExactRoundTrip) {
