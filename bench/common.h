@@ -129,12 +129,10 @@ struct LinearKernelFixture {
 
 // Blocked-layout variant of the same kernel: identical shape, seed and fill
 // (it packs LinearKernelFixture<float>'s weights), so the blocked-vs-
-// unblocked ratio is apples-to-apples. W = float is the blocked f32 kernel,
-// W = nn::bf16 the storage-halved variant.
-template <typename W>
+// unblocked ratio is apples-to-apples.
 struct PackedKernelFixture {
   LinearKernelFixture<float> base;
-  nn::PackedMat<W> wp;
+  nn::PackedMat wp;
 
   PackedKernelFixture() { nn::pack_weights(base.w, wp); }
   void run() { nn::linear_forward_rows_blocked(base.x, wp, base.b, base.y, 0, base.kRows); }

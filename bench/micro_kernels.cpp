@@ -100,11 +100,10 @@ BENCHMARK(BM_TealSolveWarmWorkspace)->Unit(benchmark::kMillisecond);
 // same shape/seed bench_precision_simd ledgers). The f64 variant is the
 // bit-stable reference; the f32 variant is the unblocked narrowed path; the
 // Blocked variants run the lane-panel broadcast-FMA kernel the solve path
-// actually uses (f32 panels, and bf16-storage panels widened in the inner
-// loop). Ratios of interest: f64/f32 (narrowing + SIMD), f32/blocked-f32
-// (layout, CI-asserted >= 1x), blocked-f32/blocked-bf16 (weight streaming).
+// actually uses (f32 panels). Ratios of interest: f64/f32 (narrowing +
+// SIMD), f32/blocked-f32 (layout, CI-asserted >= 1x).
 //
-// All four run a pinned iteration count after an explicit warm-up pass so
+// All three run a pinned iteration count after an explicit warm-up pass so
 // run-to-run numbers stay comparable (google-benchmark's adaptive iteration
 // search was the source of the ledger's f64-baseline jitter: different
 // builds settled on different counts, shifting cache residency).
@@ -137,18 +136,10 @@ BENCHMARK(BM_LinearForwardBatchedF32)
     ->Iterations(kLinearKernelIters);
 
 void BM_LinearForwardBlockedF32(benchmark::State& state) {
-  bench::PackedKernelFixture<float> fx;
+  bench::PackedKernelFixture fx;
   run_linear_kernel_bench(state, fx, fx.base.y);
 }
 BENCHMARK(BM_LinearForwardBlockedF32)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(kLinearKernelIters);
-
-void BM_LinearForwardBlockedBF16(benchmark::State& state) {
-  bench::PackedKernelFixture<nn::bf16> fx;
-  run_linear_kernel_bench(state, fx, fx.base.y);
-}
-BENCHMARK(BM_LinearForwardBlockedBF16)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(kLinearKernelIters);
 

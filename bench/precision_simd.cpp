@@ -1,7 +1,7 @@
 // precision_simd — precision/layout backend sweep: kernel-level speedup of
 // the batched linear forward (f64 scalar reference vs the unblocked f32
-// path vs the blocked-panel f32/bf16 kernels the solve path runs),
-// end-to-end warm-solve latency at every precision, and the narrowed-vs-f64
+// path vs the blocked-panel f32 kernel the solve path runs),
+// end-to-end warm-solve latency at both precisions, and the f32-vs-f64
 // flow-allocation error per topology.
 //
 // Not a paper figure: this bench quantifies the repo's own precision knob
@@ -45,8 +45,8 @@ using namespace teal;
 
 namespace {
 
-// Scientific notation for the error columns: the narrowed-vs-f64 deltas are
-// ~1e-6 (f32) / ~1e-3 (bf16), invisible in fixed-point.
+// Scientific notation for the error columns: the f32-vs-f64 deltas are
+// ~1e-6, invisible in fixed-point.
 std::string sci(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2e", v);
@@ -63,24 +63,21 @@ struct KernelResult {
   double f64_ms = 0.0;
   double f32_ms = 0.0;           // unblocked row-major f32
   double blocked_f32_ms = 0.0;   // lane-panel broadcast-FMA kernel
-  double blocked_bf16_ms = 0.0;  // same kernel, bf16-storage weights
   double narrow_speedup = 0.0;   // f64 / f32 (narrowing + SIMD)
 };
 
-// Times all four kernel fixtures with interleaved round-robin sampling (see
+// Times all three kernel fixtures with interleaved round-robin sampling (see
 // header comment) at a pinned sample count.
 KernelResult time_kernels(int samples) {
   bench::LinearKernelFixture<double> f64;
   bench::LinearKernelFixture<float> f32;
-  bench::PackedKernelFixture<float> bl32;
-  bench::PackedKernelFixture<nn::bf16> bl16;
+  bench::PackedKernelFixture bl32;
   for (int i = 0; i < 3; ++i) {  // explicit warm-up sweeps, untimed
     f64.run();
     f32.run();
     bl32.run();
-    bl16.run();
   }
-  std::vector<double> ms64, ms32, msb32, msb16;
+  std::vector<double> ms64, ms32, msb32;
   auto sample = [](auto& fx, std::vector<double>& out) {
     util::Timer t;
     fx.run();
@@ -90,13 +87,11 @@ KernelResult time_kernels(int samples) {
     sample(f64, ms64);
     sample(f32, ms32);
     sample(bl32, msb32);
-    sample(bl16, msb16);
   }
   KernelResult k;
   k.f64_ms = util::median(ms64);
   k.f32_ms = util::median(ms32);
   k.blocked_f32_ms = util::median(msb32);
-  k.blocked_bf16_ms = util::median(msb16);
   k.narrow_speedup = k.f32_ms > 0.0 ? k.f64_ms / k.f32_ms : 0.0;
   return k;
 }
@@ -112,7 +107,6 @@ util::Table kernel_table(const KernelResult& kern) {
   add("f64 row-major (reference)", kern.f64_ms);
   add("f32 row-major (unblocked)", kern.f32_ms);
   add("f32 blocked panels", kern.blocked_f32_ms);
-  add("bf16-storage blocked panels", kern.blocked_bf16_ms);
   return table;
 }
 
@@ -120,21 +114,20 @@ util::Table kernel_table(const KernelResult& kern) {
 
 int main() {
   bench::print_header("Precision/SIMD",
-                      "narrowed forwards (f32, blocked f32, bf16 storage) vs f64 "
-                      "reference: kernel speedups and allocation error");
+                      "narrowed forwards (f32, blocked f32) vs f64 reference: "
+                      "kernel speedups and allocation error");
   const int repeats = bench::fast_mode() ? 9 : 31;
 
   const KernelResult kern = time_kernels(repeats);
   const std::string simd = std::string("SIMD ") + (nn::simd_enabled() ? "ON" : "OFF");
 
   // End-to-end: untrained Teal (deterministic weights; precision error is a
-  // property of the arithmetic, not the training state) at every precision.
+  // property of the arithmetic, not the training state) at both precisions.
   const std::vector<std::string> topos =
       bench::fast_mode() ? std::vector<std::string>{"B4", "SWAN"}
                          : std::vector<std::string>{"B4", "SWAN", "UsCarrier", "Kdl", "ASN"};
   util::Table table({"topology", "solve f64 p50 (ms)", "solve f32 p50 (ms)",
-                     "f32 speedup (x)", "max split err", "objective rel err",
-                     "bf16 p50 (ms)", "bf16 max split err", "bf16 obj rel err"});
+                     "f32 speedup (x)", "max split err", "objective rel err"});
   for (const auto& name : topos) {
     auto inst = bench::make_instance(name);
     core::TealScheme scheme(inst->pb,
@@ -142,7 +135,7 @@ int main() {
                                                               inst->pb.k_paths()),
                             core::TealSchemeConfig{});
     const te::TrafficMatrix& tm = inst->split.test.at(0);
-    te::Allocation a64, a32, a16;
+    te::Allocation a64, a32;
 
     auto time_precision = [&](te::Precision p, te::Allocation& out) {
       scheme.set_precision(p);
@@ -158,21 +151,17 @@ int main() {
 
     const double f64_ms = time_precision(te::Precision::f64, a64);
     const double f32_ms = time_precision(te::Precision::f32, a32);
-    const double bf16_ms = time_precision(te::Precision::bf16, a16);
-    double split_err = 0.0, bf16_split_err = 0.0;
+    double split_err = 0.0;
     for (std::size_t i = 0; i < a64.split.size(); ++i) {
       split_err = std::max(split_err, std::abs(a64.split[i] - a32.split[i]));
-      bf16_split_err = std::max(bf16_split_err, std::abs(a64.split[i] - a16.split[i]));
     }
     const double obj64 = te::total_feasible_flow(inst->pb, tm, a64);
-    auto obj_err = [&](const te::Allocation& a) {
-      return obj64 > 0.0 ? std::abs(obj64 - te::total_feasible_flow(inst->pb, tm, a)) / obj64
-                         : 0.0;
-    };
+    const double obj_err =
+        obj64 > 0.0 ? std::abs(obj64 - te::total_feasible_flow(inst->pb, tm, a32)) / obj64
+                    : 0.0;
     table.add_row({name, util::fmt(f64_ms, 4), util::fmt(f32_ms, 4),
                    util::fmt(f32_ms > 0.0 ? f64_ms / f32_ms : 0.0, 3), sci(split_err),
-                   sci(obj_err(a32)), util::fmt(bf16_ms, 4), sci(bf16_split_err),
-                   sci(obj_err(a16))});
+                   sci(obj_err)});
   }
   bench::record(table, "precision_simd",
                 simd + "; batched linear forward " + kernel_shape() +

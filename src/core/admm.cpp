@@ -257,13 +257,10 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
     });
   }
 
-  // Each demand's last F-update wrote its flow from the final x; shift is
-  // free again, so it takes the loads.
-  res.after = violation(shift);
   // ADMM iterates are not exactly feasible for the *demand* constraint; clamp
   // the per-demand sums (cheap and local) but keep capacity handling to the
-  // evaluation semantics, as the paper does. Sharded: each demand's clamp and
-  // split writeback touch only its own path range.
+  // evaluation semantics, as the paper does. Sharded: each demand's clamp,
+  // flow and split writeback touch only its own path range.
   a.split.resize(static_cast<std::size_t>(np));
   run_sharded(shards, stats, [&](int /*shard*/, int d0, int d1) {
     for (int d = d0; d < d1; ++d) {
@@ -272,10 +269,14 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
       for (int p = pb_.path_begin(d); p < pb_.path_end(d); ++p) {
         const auto ps = static_cast<std::size_t>(p);
         if (over) x[ps] /= x_sum[di];
+        flow[ps] = x[ps] * vol[di];
         a.split[ps] = x[ps];
       }
     }
   });
+  // The residual of the allocation returned: the flows are the clamped x's,
+  // and shift is free again, so it takes the loads.
+  res.after = violation(shift);
   return res;
 }
 

@@ -3,10 +3,9 @@
 // Teal's neural networks output split ratios that may violate link
 // capacities. A handful of ADMM iterations, warm-started from the network
 // output, trade the TE objective against those constraints. At the paper's
-// iteration counts this does not always lower the violation: on the
-// benchmark's Kdl and B4 inputs the residual after fine-tuning is higher
-// than before, while on ASN and SWAN it falls (EXPERIMENTS.md "Solve stage
-// split"). Following Appendix C, the TE LP is decoupled by introducing
+// iteration counts the violation of the returned allocation falls, but on
+// some inputs only slightly (EXPERIMENTS.md "Solve stage split"). Following
+// Appendix C, the TE LP is decoupled by introducing
 //   * per-(path, edge) auxiliary variables z_pe with F_p * d - z_pe = 0,
 //   * slack s1_d for the demand constraints and s3_e for capacity, and
 //   * multipliers lambda1_d, lambda3_e, lambda4_pe with penalty rho.
@@ -48,8 +47,9 @@ class Admm {
   explicit Admm(const te::Problem& pb, AdmmConfig cfg = {});
 
   // Fine-tunes `a` in place for the given matrix/capacities. Returns the
-  // total constraint violation (demand overshoot + capacity overload)
-  // before and after. The two are not ordered: see the header comment.
+  // total constraint violation (demand overshoot + capacity overload) of the
+  // start (split ratios clamped to [0, 1]) and of the allocation returned,
+  // after the final per-demand clamp. Nothing guarantees after <= before.
   struct Residuals {
     double before = 0.0;
     double after = 0.0;

@@ -38,21 +38,9 @@ void FlowGnn::prepare_f32() {
   edge_f32_.reserve(edge_linear_.size());
   path_f32_.reserve(path_linear_.size());
   dnn_f32_.reserve(dnn_linear_.size());
-  for (const auto& l : edge_linear_) edge_f32_.push_back(l.snapshot_packed_f32());
-  for (const auto& l : path_linear_) path_f32_.push_back(l.snapshot_packed_f32());
-  for (const auto& l : dnn_linear_) dnn_f32_.push_back(l.snapshot_packed_f32());
-}
-
-void FlowGnn::prepare_bf16() {
-  edge_bf16_.clear();
-  path_bf16_.clear();
-  dnn_bf16_.clear();
-  edge_bf16_.reserve(edge_linear_.size());
-  path_bf16_.reserve(path_linear_.size());
-  dnn_bf16_.reserve(dnn_linear_.size());
-  for (const auto& l : edge_linear_) edge_bf16_.push_back(l.snapshot_bf16());
-  for (const auto& l : path_linear_) path_bf16_.push_back(l.snapshot_bf16());
-  for (const auto& l : dnn_linear_) dnn_bf16_.push_back(l.snapshot_bf16());
+  for (const auto& l : edge_linear_) edge_f32_.push_back(l.snapshot_packed());
+  for (const auto& l : path_linear_) path_f32_.push_back(l.snapshot_packed());
+  for (const auto& l : dnn_linear_) dnn_f32_.push_back(l.snapshot_packed());
 }
 
 namespace {
@@ -355,17 +343,6 @@ void FlowGnn::forward_f32(const te::Problem& pb, const te::TrafficMatrix& tm,
         "TealScheme::set_precision, which snapshots the weights)");
   }
   forward_impl(pb, tm, capacities, fwd, shards, stats, edge_f32_, path_f32_, dnn_f32_);
-}
-
-void FlowGnn::forward_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                           const std::vector<double>* capacities, ForwardF& fwd,
-                           const ShardPlan& shards, ShardStat* stats) const {
-  if (!bf16_ready()) {
-    throw std::logic_error(
-        "FlowGnn::forward_bf16: prepare_bf16() has not been called (use "
-        "TealScheme::set_precision, which snapshots the weights)");
-  }
-  forward_impl(pb, tm, capacities, fwd, shards, stats, edge_bf16_, path_bf16_, dnn_bf16_);
 }
 
 void FlowGnn::forward(const te::Problem& pb, const te::TrafficMatrix& tm,

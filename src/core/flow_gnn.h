@@ -122,20 +122,6 @@ class FlowGnn {
   void prepare_f32();
   bool f32_ready() const { return !edge_f32_.empty(); }
 
-  // bf16-storage forward: same pass structure, sharding contract and f32
-  // activation arithmetic as forward_f32(), but the layer weights are read
-  // from bf16 panels (widened to f32 in the kernel inner loop). Requires
-  // prepare_bf16(); throws std::logic_error otherwise.
-  void forward_bf16(const te::Problem& pb, const te::TrafficMatrix& tm,
-                    const std::vector<double>* capacities, ForwardF& fwd,
-                    const ShardPlan& shards, ShardStat* stats = nullptr) const;
-
-  // Snapshots the current parameters into bf16-storage mirrors (f64 -> f32
-  // round-to-nearest, then f32 -> bf16 round-to-nearest-even). Same
-  // re-snapshot contract as prepare_f32().
-  void prepare_bf16();
-  bool bf16_ready() const { return !edge_bf16_.empty(); }
-
   // Backpropagates `grad_final_paths` (same shape as Forward::final_paths),
   // accumulating parameter gradients.
   void backward(const te::Problem& pb, const Forward& fwd, const nn::Mat& grad_final_paths);
@@ -176,7 +162,7 @@ class FlowGnn {
  private:
   // Fused per-row passes of one block (see forward), generic over the
   // element type T and the layer type Lin (nn::Linear for f64, a blocked
-  // nn::PackedLinear for the narrowed paths): the edge pass covers edge rows
+  // nn::PackedLinear for the narrowed path): the edge pass covers edge rows
   // [e_begin, e_end), the demand pass covers demands [d_begin, d_end) —
   // aggregation gather, concat, dense update, activation and widening for
   // the slice, all reading only buffers stable during the block.
@@ -209,12 +195,10 @@ class FlowGnn {
   std::vector<int> dims_;
   // Per block: edge-update, path-update (input 2d -> d) and DNN (k*d -> k*d).
   std::vector<nn::Linear> edge_linear_, path_linear_, dnn_linear_;
-  // Narrowed inference mirrors of the same layers, stored as lane-blocked
-  // panels (nn::PackedLinear) so the forward runs the broadcast-FMA kernel:
-  // f32 panels (empty until prepare_f32()) and bf16-storage panels (empty
-  // until prepare_bf16()).
-  std::vector<nn::LinearPackedF32> edge_f32_, path_f32_, dnn_f32_;
-  std::vector<nn::LinearBf16> edge_bf16_, path_bf16_, dnn_bf16_;
+  // Narrowed f32 inference mirrors of the same layers, stored as lane-blocked
+  // panels (nn::PackedLinear) so the forward runs the broadcast-FMA kernel;
+  // empty until prepare_f32().
+  std::vector<nn::PackedLinear> edge_f32_, path_f32_, dnn_f32_;
 };
 
 }  // namespace teal::core

@@ -27,46 +27,29 @@ void TealModel::prepare(te::Precision p) {
   if (p == te::Precision::f32) {
     gnn_.prepare_f32();
     policy_.prepare_f32();
-  } else if (p == te::Precision::bf16) {
-    gnn_.prepare_bf16();
-    policy_.prepare_bf16();
   }
 }
 
 void TealModel::forward_ws_narrowed(const te::Problem& pb, const te::TrafficMatrix& tm,
                                     const std::vector<double>* capacities, ModelForward& out,
-                                    const ShardPlan& shards, ShardStat* stats,
-                                    bool use_bf16) const {
+                                    const ShardPlan& shards, ShardStat* stats) const {
   // Same cache-reuse contract as the f64 path, under the narrowed owner tag
   // (a narrowed cache is a ForwardF32; the f64 path must never reinterpret
-  // it). f32 and bf16 share the cache: same type, every activation fully
-  // rewritten per forward.
+  // it).
   auto* typed = &claim_cache<ForwardF32>(out, &f32_owner_tag_);
-  if (use_bf16) {
-    gnn_.forward_bf16(pb, tm, capacities, typed->gnn, shards, stats);
-  } else {
-    gnn_.forward_f32(pb, tm, capacities, typed->gnn, shards, stats);
-  }
+  gnn_.forward_f32(pb, tm, capacities, typed->gnn, shards, stats);
   // Fused per-demand tail: input assembly (float), policy forward (float),
   // and the logit widening back to the caller's f64 matrices — each shard
   // touches only its own demand rows, so the fan-out stays race-free.
   const int nd = pb.num_demands();
   typed->policy.input.resize(nd, k_ * typed->gnn.final_paths.cols());
   out.mask.resize(nd, k_);
-  if (use_bf16) {
-    policy_.prepare_forward_bf16(typed->policy);
-  } else {
-    policy_.prepare_forward(typed->policy);
-  }
+  policy_.prepare_forward(typed->policy);
   out.logits.resize(nd, k_);
   run_sharded(shards, stats, [&](int /*shard*/, int d0, int d1) {
     build_policy_input_rows(pb, typed->gnn.final_paths, k_, typed->policy.input, out.mask,
                             d0, d1);
-    if (use_bf16) {
-      policy_.forward_rows_bf16(typed->policy, d0, d1);
-    } else {
-      policy_.forward_rows(typed->policy, d0, d1);
-    }
+    policy_.forward_rows(typed->policy, d0, d1);
     for (int d = d0; d < d1; ++d) {
       const float* lr = typed->policy.logits.row_ptr(d);
       double* outr = out.logits.row_ptr(d);
@@ -112,8 +95,7 @@ void TealModel::forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
                            const ShardPlan& shards, ShardStat* stats,
                            te::Precision precision) const {
   if (precision != te::Precision::f64) {
-    forward_ws_narrowed(pb, tm, capacities, out, shards, stats,
-                        /*use_bf16=*/precision == te::Precision::bf16);
+    forward_ws_narrowed(pb, tm, capacities, out, shards, stats);
     return;
   }
   Forward& typed = claim_cache<Forward>(out, this);

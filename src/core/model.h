@@ -58,13 +58,13 @@ Cache& claim_cache(Slot& slot, const void* owner) {
 
 // The typed f64 forward cache `owner` left in `fwd`, for its backward pass.
 // Throws std::logic_error on a foreign cache (another model's, or a narrowed
-// f32/bf16 inference cache, which holds no double activations).
+// f32 inference cache, which holds no double activations).
 template <typename Cache>
 const Cache& owned_cache(const ModelForward& fwd, const void* owner, const char* who) {
   if (fwd.owner != owner || fwd.cache == nullptr) {
     throw std::logic_error(std::string(who) +
                            ": forward cache was not produced by this model's f64 forward "
-                           "(foreign or narrowed f32/bf16 caches cannot back-propagate)");
+                           "(foreign or narrowed f32 caches cannot back-propagate)");
   }
   return *static_cast<const Cache*>(fwd.cache.get());
 }
@@ -139,9 +139,7 @@ class TealModel : public Model {
   };
 
   // Narrowed inference caches (the float mirrors a SolveWorkspace grows when
-  // the solve runs at Precision::f32 *or* bf16 — bf16 narrows only the stored
-  // weights, so its activations live in the same float workspace). Never
-  // feeds backward().
+  // the solve runs at Precision::f32). Never feeds backward().
   struct ForwardF32 {
     FlowGnn::ForwardF gnn;
     PolicyNet::ForwardF policy;
@@ -171,7 +169,7 @@ class TealModel : public Model {
                const std::vector<double>* capacities, Forward& fwd) const;
 
   // Model interface. forward_ws dispatches on `precision` between the f64
-  // pipeline and the narrowed (f32/bf16) one.
+  // pipeline and the narrowed (f32) one.
   void forward_ws(const te::Problem& pb, const te::TrafficMatrix& tm,
                   const std::vector<double>* capacities, ModelForward& fwd,
                   const ShardPlan& shards, ShardStat* stats = nullptr,
@@ -195,24 +193,20 @@ class TealModel : public Model {
                     const std::vector<double>* capacities, Forward& fwd,
                     const ShardPlan& shards, ShardStat* stats = nullptr) const;
 
-  // The narrowed (f32/bf16) forward_ws: identical float cache, fused
-  // per-demand tail and f64 widening; only the weight panels the GNN and
-  // policy read differ.
+  // The narrowed (f32) forward_ws: float GNN and policy over the blocked
+  // weight panels, a fused per-demand tail and the f64 widening of the logits.
   void forward_ws_narrowed(const te::Problem& pb, const te::TrafficMatrix& tm,
                            const std::vector<double>* capacities, ModelForward& fwd,
-                           const ShardPlan& shards, ShardStat* stats, bool use_bf16) const;
+                           const ShardPlan& shards, ShardStat* stats) const;
 
   TealModelConfig cfg_;
   int k_;
   util::Rng init_rng_;  // declared before the networks: it seeds their init
   FlowGnn gnn_;
   PolicyNet policy_;
-  // ModelForward::owner tag for the narrowed caches: an f32 or bf16 cache
-  // holds a ForwardF32, not a Forward, so it must never be reinterpreted by
-  // the f64 path (and vice versa). f32 and bf16 share the tag deliberately —
-  // their caches are the same type and every activation is fully rewritten
-  // per forward, so switching between them reuses the buffers. Tagging with
-  // this member's address instead of `this` keeps the narrow/f64 cache kinds
+  // ModelForward::owner tag for the narrowed caches: an f32 cache holds a
+  // ForwardF32, not a Forward, so it must never be reinterpreted by the f64
+  // path (and vice versa). Tagging with this member's address instead of `this` keeps the narrow/f64 cache kinds
   // distinct per model instance.
   char f32_owner_tag_ = 0;
 };

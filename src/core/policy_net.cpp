@@ -28,9 +28,9 @@ void PolicyNet::forward(Forward& fwd) const {
   out_.forward(*cur, fwd.logits);
 }
 
-template <typename T, typename Lin, typename Out>
+template <typename T, typename Lin>
 void PolicyNet::prepare_forward_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden,
-                                     const Out& out) const {
+                                     const Lin& out) const {
   const int n = fwd.input.rows();
   fwd.pre.resize(hidden.size());
   fwd.act.resize(hidden.size());
@@ -41,9 +41,9 @@ void PolicyNet::prepare_forward_impl(ForwardT<T>& fwd, const std::vector<Lin>& h
   fwd.logits.resize(n, out.out_features());
 }
 
-template <typename T, typename Lin, typename Out>
+template <typename T, typename Lin>
 void PolicyNet::forward_rows_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden,
-                                  const Out& out, int row_begin, int row_end) const {
+                                  const Lin& out, int row_begin, int row_end) const {
   const nn::BasicMat<T>* cur = &fwd.input;
   for (std::size_t i = 0; i < hidden.size(); ++i) {
     hidden[i].forward_rows(*cur, fwd.pre[i], row_begin, row_end);
@@ -65,15 +65,8 @@ void PolicyNet::forward_rows(Forward& fwd, int row_begin, int row_end) const {
 void PolicyNet::prepare_f32() {
   hidden_f32_.clear();
   hidden_f32_.reserve(hidden_.size());
-  for (const auto& l : hidden_) hidden_f32_.push_back(l.snapshot_packed_f32());
-  out_f32_ = out_.snapshot_packed_f32();
-}
-
-void PolicyNet::prepare_bf16() {
-  hidden_bf16_.clear();
-  hidden_bf16_.reserve(hidden_.size());
-  for (const auto& l : hidden_) hidden_bf16_.push_back(l.snapshot_bf16());
-  out_bf16_ = out_.snapshot_bf16();
+  for (const auto& l : hidden_) hidden_f32_.push_back(l.snapshot_packed());
+  out_f32_ = out_.snapshot_packed();
 }
 
 void PolicyNet::prepare_forward(ForwardF& fwd) const {
@@ -92,24 +85,6 @@ void PolicyNet::forward_rows(ForwardF& fwd, int row_begin, int row_end) const {
         "TealScheme::set_precision, which snapshots the weights)");
   }
   forward_rows_impl(fwd, hidden_f32_, *out_f32_, row_begin, row_end);
-}
-
-void PolicyNet::prepare_forward_bf16(ForwardF& fwd) const {
-  if (!bf16_ready()) {
-    throw std::logic_error(
-        "PolicyNet: prepare_bf16() has not been called (use "
-        "TealScheme::set_precision, which snapshots the weights)");
-  }
-  prepare_forward_impl(fwd, hidden_bf16_, *out_bf16_);
-}
-
-void PolicyNet::forward_rows_bf16(ForwardF& fwd, int row_begin, int row_end) const {
-  if (!bf16_ready()) {
-    throw std::logic_error(
-        "PolicyNet: prepare_bf16() has not been called (use "
-        "TealScheme::set_precision, which snapshots the weights)");
-  }
-  forward_rows_impl(fwd, hidden_bf16_, *out_bf16_, row_begin, row_end);
 }
 
 PolicyNet::Forward PolicyNet::forward(const nn::Mat& input) const {

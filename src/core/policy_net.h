@@ -60,23 +60,11 @@ class PolicyNet {
   void prepare_forward(ForwardF& fwd) const;
   void forward_rows(ForwardF& fwd, int row_begin, int row_end) const;
 
-  // bf16-storage inference pair: identical pass structure and f32 activation
-  // arithmetic, but the layer weights are read from bf16 panels. Reuses the
-  // ForwardF cache type (activations are f32 either way). Requires
-  // prepare_bf16().
-  void prepare_forward_bf16(ForwardF& fwd) const;
-  void forward_rows_bf16(ForwardF& fwd, int row_begin, int row_end) const;
-
   // Snapshots the current parameters into blocked f32 mirrors. Not
   // thread-safe against concurrent forwards; re-call after any parameter
   // update.
   void prepare_f32();
   bool f32_ready() const { return out_f32_.has_value(); }
-
-  // Snapshots the current parameters into bf16-storage mirrors (f64 -> f32
-  // round-to-nearest, then f32 -> bf16 round-to-nearest-even).
-  void prepare_bf16();
-  bool bf16_ready() const { return out_bf16_.has_value(); }
 
   // `input` rows are per-demand concatenated path embeddings (zero-padded for
   // demands with fewer than k paths). Allocates a fresh Forward per call.
@@ -107,23 +95,21 @@ class PolicyNet {
 
  private:
   // Shared body of the f64/f32 prepare_forward and forward_rows pairs.
-  template <typename T, typename Lin, typename Out>
+  template <typename T, typename Lin>
   void prepare_forward_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden,
-                            const Out& out) const;
-  template <typename T, typename Lin, typename Out>
-  void forward_rows_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden, const Out& out,
+                            const Lin& out) const;
+  template <typename T, typename Lin>
+  void forward_rows_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden, const Lin& out,
                          int row_begin, int row_end) const;
 
   PolicyConfig cfg_;
   int in_dim_, k_paths_;
   std::vector<nn::Linear> hidden_;
   nn::Linear out_;
-  // Narrowed inference mirrors, stored as lane-blocked panels: f32 (empty
-  // until prepare_f32()) and bf16 storage (empty until prepare_bf16()).
-  std::vector<nn::LinearPackedF32> hidden_f32_;
-  std::optional<nn::LinearPackedF32> out_f32_;
-  std::vector<nn::LinearBf16> hidden_bf16_;
-  std::optional<nn::LinearBf16> out_bf16_;
+  // Narrowed f32 inference mirrors, stored as lane-blocked panels (empty
+  // until prepare_f32()).
+  std::vector<nn::PackedLinear> hidden_f32_;
+  std::optional<nn::PackedLinear> out_f32_;
 };
 
 // Assembles the (D, k*dim) policy input matrix from final path embeddings and

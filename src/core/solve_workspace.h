@@ -36,10 +36,8 @@ namespace teal::core {
 struct SolveWorkspace {
   std::vector<double> caps;  // capacity snapshot for this solve
   ModelForward fwd;          // f64 model forward caches (owner-tagged)
-  // Float mirror of the forward caches for the narrowed solves — both
-  // Precision::f32 and Precision::bf16, which share it (bf16 narrows only
-  // the model-side stored weights; its activations are the same f32
-  // buffers). Its cache holds the model's f32 activations
+  // Float mirror of the forward caches for the narrowed (Precision::f32)
+  // solves. Its cache holds the model's f32 activations
   // (TealModel::ForwardF32) while its logits/mask members are the double
   // widenings the rest of the pipeline consumes. Only the precision actually
   // used grows warm buffers, so an f64-only workspace pays nothing for the

@@ -77,7 +77,7 @@ void TealScheme::solve_with(SolveWorkspace& ws, const te::Problem& pb,
   ws.prepare_shards(plan);
   ShardStat* stats = ws.shard_stats.data();
   pb.capacities_into(ws.caps);
-  // The narrowed precisions (f32 and bf16) run the NN forward through the
+  // The narrowed (f32) precision runs the NN forward through the
   // float mirror workspace and widen logits/mask back to double, so
   // everything from the softmax down is precision-oblivious.
   ModelForward& fwd = precision_ == te::Precision::f64 ? ws.fwd : ws.fwd32;

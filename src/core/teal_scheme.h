@@ -90,8 +90,7 @@ class TealScheme : public te::Scheme {
   // Precision (te::Precision): f32 narrows the NN forward to float — through
   // per-layer blocked weight snapshots taken here — while the masked
   // softmax, the allocation writeback and the ADMM fine-tune stay double,
-  // mirroring the paper's fp32 GPU inference. bf16 additionally narrows the
-  // *stored* weights to bfloat16 (activations and accumulations stay f32).
+  // mirroring the paper's fp32 GPU inference.
   // Unlike the shard count this perturbs the allocation, within the bound
   // tests/precision_test.cpp checks per topology. Support follows the
   // wrapped model (Model::supports): the Figure 14 ablation variants are

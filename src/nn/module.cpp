@@ -60,31 +60,15 @@ void GradAccum::reduce_into(const std::vector<Param*>& params) const {
   }
 }
 
-namespace {
-
-// Narrows the parameters to f32 (round to nearest) and packs the weights, so
-// both narrowed layouts are built from identical float weights; the bf16
-// pack_weights overload then rounds-to-nearest-even per weight.
-template <typename W>
-PackedLinear<W> snapshot_packed(const Mat& weight, const Mat& bias) {
-  MatF w(weight.rows(), weight.cols());
-  for (std::size_t i = 0; i < weight.size(); ++i) {
-    w.data()[i] = static_cast<float>(weight.data()[i]);
+PackedLinear Linear::snapshot_packed() const {
+  MatF w(weight_.w.rows(), weight_.w.cols());
+  for (std::size_t i = 0; i < weight_.w.size(); ++i) {
+    w.data()[i] = static_cast<float>(weight_.w.data()[i]);
   }
-  PackedLinear<W> s;
+  PackedLinear s;
   pack_weights(w, s.w);
-  s.b.assign(bias.data().begin(), bias.data().end());
+  s.b.assign(bias_.w.data().begin(), bias_.w.data().end());
   return s;
-}
-
-}  // namespace
-
-LinearPackedF32 Linear::snapshot_packed_f32() const {
-  return snapshot_packed<float>(weight_.w, bias_.w);
-}
-
-LinearBf16 Linear::snapshot_bf16() const {
-  return snapshot_packed<bf16>(weight_.w, bias_.w);
 }
 
 Adam::Adam(std::vector<Param*> params, double lr_in, double beta1, double beta2, double eps)

@@ -62,19 +62,15 @@ class GradAccum {
 // Xavier-uniform init, the default for the small dense layers here.
 void xavier_init(Mat& w, util::Rng& rng);
 
-// Narrowed inference snapshot of a Linear: weights and bias narrowed once,
-// read-only afterwards. The narrowed solve paths (TealScheme::set_precision)
-// run their forward through these snapshots while training and the f64 path
-// keep using the double parameters — re-snapshot after any further parameter
-// update. Weights live in lane-blocked panels (nn::PackedMat) so forward_rows
-// runs the broadcast-FMA kernel instead of strided dot products. W = float is
-// the default narrowed (f32) path; W = bf16 stores the weights rounded to
-// bfloat16 (round-to-nearest-even at snapshot time, widened back to f32 in
-// the kernel inner loop) — activations and bias stay f32 either way.
-template <typename W>
+// Narrowed inference snapshot of a Linear: weights and bias narrowed to f32
+// once, read-only afterwards. The narrowed solve path (TealScheme's f32
+// precision) runs its forward through these snapshots while training and the
+// f64 path keep using the double parameters — re-snapshot after any further
+// parameter update. Weights live in lane-blocked panels (nn::PackedMat) so
+// forward_rows runs the broadcast-FMA kernel instead of strided dot products.
 struct PackedLinear {
-  PackedMat<W> w;       // (out, in) lane-blocked panels
-  std::vector<float> b; // (out), always f32 (the accumulation seed)
+  PackedMat w;          // (out, in) lane-blocked panels
+  std::vector<float> b; // (out), the accumulation seed
 
   void forward_rows(const MatF& x, MatF& y, int row_begin, int row_end) const {
     linear_forward_rows_blocked(x, w, b, y, row_begin, row_end);
@@ -82,8 +78,6 @@ struct PackedLinear {
   int in_features() const { return w.cols(); }
   int out_features() const { return w.rows(); }
 };
-using LinearPackedF32 = PackedLinear<float>;
-using LinearBf16 = PackedLinear<bf16>;
 
 class Linear {
  public:
@@ -104,11 +98,9 @@ class Linear {
   // are safe, which is what fans batched training out across workers.
   void backward_acc(const Mat& x, const Mat& gy, Mat& gx, Mat& gw, Mat& gb) const;
 
-  // Blocked-panel snapshots for the narrowed solve paths: f64 -> f32 (round
-  // to nearest) packed into panels, and f64 -> f32 -> bf16 (round-to-nearest-
-  // even on the second narrowing) for the storage-halved variant.
-  LinearPackedF32 snapshot_packed_f32() const;
-  LinearBf16 snapshot_bf16() const;
+  // Blocked-panel snapshot for the narrowed solve path: f64 -> f32 (round to
+  // nearest) packed into panels.
+  PackedLinear snapshot_packed() const;
 
   int in_features() const { return weight_.w.cols(); }
   int out_features() const { return weight_.w.rows(); }

@@ -24,7 +24,7 @@
 // — for wider vector units, picked via ifunc at first call. The blocked
 // layout is what makes the width usable (a full lane vector of independent
 // outputs, no horizontal reductions), so unlike the dot-product kernels it
-// actually scales with the clone's lane count. f32/bf16 only: the clones may
+// actually scales with the clone's lane count. f32 only: the clones may
 // contract mul+add to FMA, which changes rounding but not the ascending-i
 // accumulation order, so the shard bit-identity contract is untouched —
 // results stay identical across shard counts and repeat runs on one machine,
@@ -42,30 +42,6 @@ namespace teal::nn {
 
 namespace {
 
-inline float widen(float v) { return v; }
-inline float widen(bf16 v) { return f32_from_bf16(v); }
-
-template <typename W>
-void pack_weights_impl(const MatF& w, PackedMat<W>& dst) {
-  const int out = w.rows(), in = w.cols();
-  dst.resize(out, in);
-  constexpr int L = PackedMat<W>::kLanes;
-  for (int p = 0; p < dst.panels(); ++p) {
-    W* panel = dst.panel_ptr(p);
-    for (int i = 0; i < in; ++i) {
-      for (int l = 0; l < L; ++l) {
-        const int o = p * L + l;
-        const float v = o < out ? w.at(o, i) : 0.0f;  // zero the padding lanes
-        if constexpr (std::is_same_v<W, bf16>) {
-          panel[static_cast<std::size_t>(i) * L + l] = bf16_from_f32(v);
-        } else {
-          panel[static_cast<std::size_t>(i) * L + l] = v;
-        }
-      }
-    }
-  }
-}
-
 #if defined(__GNUC__)
 #define TEAL_PACKED_VECEXT 1
 // One panel lane-vector as a compiler vector type: lane count fixed at
@@ -75,22 +51,10 @@ void pack_weights_impl(const MatF& w, PackedMat<W>& dst) {
 // clone lowers the same ops at its own ISA width — SSE2 splits a vf8 into
 // two XMM ops, AVX2/v4 use one YMM with FMA.
 typedef float vf8 __attribute__((vector_size(32)));
-typedef std::uint16_t vu16x8 __attribute__((vector_size(16)));
-typedef std::uint32_t vu32x8 __attribute__((vector_size(32)));
 
 inline vf8 load_lanes(const float* p) {
   vf8 v;
   __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-// bf16 widening: zero-extend the 8 stored half-words to 32 bits and shift
-// into the high half — exactly bf16_from_f32's inverse, vectorized.
-inline vf8 load_lanes(const bf16* p) {
-  vu16x8 h;
-  __builtin_memcpy(&h, p, sizeof(h));
-  vu32x8 u = __builtin_convertvector(h, vu32x8) << 16;
-  vf8 v;
-  __builtin_memcpy(&v, &u, sizeof(v));
   return v;
 }
 #endif
@@ -100,16 +64,15 @@ inline vf8 load_lanes(const bf16* p) {
 // set (a few KB for this repo's layer shapes) stay L1-resident while the
 // block runs, so `x` streams through the kernel exactly once — panels-outer
 // ordering would re-read all of `x` once per panel. Register-blocking the
-// rows amortizes the panel loads (and, for bf16, the widening) across RB
-// accumulator sets.
-template <typename W, int RB>
-inline void panel_rows(const MatF& x, const PackedMat<W>& w, std::span<const float> b,
-                       MatF& y, int in, int out, int r) {
-  constexpr int L = PackedMat<W>::kLanes;
+// rows amortizes the panel loads across RB accumulator sets.
+template <int RB>
+inline void panel_rows(const MatF& x, const PackedMat& w, std::span<const float> b, MatF& y,
+                       int in, int out, int r) {
+  constexpr int L = PackedMat::kLanes;
   const float* xr[RB];
   for (int j = 0; j < RB; ++j) xr[j] = x.row_ptr(r + j);
   for (int p = 0; p < w.panels(); ++p) {
-    const W* panel = w.panel_ptr(p);
+    const float* panel = w.panel_ptr(p);
     const int o0 = p * L;
     const int o_count = std::min(L, out - o0);
 #if defined(TEAL_PACKED_VECEXT)
@@ -136,14 +99,11 @@ inline void panel_rows(const MatF& x, const PackedMat<W>& w, std::span<const flo
       for (int l = 0; l < L; ++l) acc[j][l] = l < o_count ? b[static_cast<std::size_t>(o0 + l)] : 0.0f;
     }
     for (int i = 0; i < in; ++i) {
-      const W* wv = panel + static_cast<std::size_t>(i) * L;
-      float wf[L];
-      TEAL_PACKED_SIMD
-      for (int l = 0; l < L; ++l) wf[l] = widen(wv[l]);
+      const float* wv = panel + static_cast<std::size_t>(i) * L;
       for (int j = 0; j < RB; ++j) {
         const float v = xr[j][i];
         TEAL_PACKED_SIMD
-        for (int l = 0; l < L; ++l) acc[j][l] += v * wf[l];
+        for (int l = 0; l < L; ++l) acc[j][l] += v * wv[l];
       }
     }
     for (int j = 0; j < RB; ++j) {
@@ -154,39 +114,37 @@ inline void panel_rows(const MatF& x, const PackedMat<W>& w, std::span<const flo
   }
 }
 
-// Non-template clone targets (target_clones cannot attach to templates):
-// the templated body inlines into each clone, so every loop recompiles at
-// the clone's vector width.
-template <typename W>
-inline void forward_rows_body(const MatF& x, const PackedMat<W>& w, std::span<const float> b,
-                              MatF& y, int row_begin, int row_end) {
+// The clone target: panel_rows inlines into each clone, so every loop
+// recompiles at the clone's vector width.
+TEAL_PACKED_CLONES
+void forward_rows(const MatF& x, const PackedMat& w, std::span<const float> b, MatF& y,
+                  int row_begin, int row_end) {
   const int in = x.cols(), out = w.rows();
   int r = row_begin;
-  for (; r + 4 <= row_end; r += 4) panel_rows<W, 4>(x, w, b, y, in, out, r);
-  for (; r < row_end; ++r) panel_rows<W, 1>(x, w, b, y, in, out, r);
-}
-
-TEAL_PACKED_CLONES
-void forward_rows_f32(const MatF& x, const PackedMatF& w, std::span<const float> b, MatF& y,
-                      int row_begin, int row_end) {
-  forward_rows_body<float>(x, w, b, y, row_begin, row_end);
-}
-
-TEAL_PACKED_CLONES
-void forward_rows_bf16(const MatF& x, const PackedMatBf16& w, std::span<const float> b,
-                       MatF& y, int row_begin, int row_end) {
-  forward_rows_body<bf16>(x, w, b, y, row_begin, row_end);
+  for (; r + 4 <= row_end; r += 4) panel_rows<4>(x, w, b, y, in, out, r);
+  for (; r < row_end; ++r) panel_rows<1>(x, w, b, y, in, out, r);
 }
 
 }  // namespace
 
-void pack_weights(const MatF& w, PackedMatF& dst) { pack_weights_impl(w, dst); }
-void pack_weights(const MatF& w, PackedMatBf16& dst) { pack_weights_impl(w, dst); }
+void pack_weights(const MatF& w, PackedMat& dst) {
+  const int out = w.rows(), in = w.cols();
+  dst.resize(out, in);
+  constexpr int L = PackedMat::kLanes;
+  for (int p = 0; p < dst.panels(); ++p) {
+    float* panel = dst.panel_ptr(p);
+    for (int i = 0; i < in; ++i) {
+      for (int l = 0; l < L; ++l) {
+        const int o = p * L + l;
+        panel[static_cast<std::size_t>(i) * L + l] =
+            o < out ? w.at(o, i) : 0.0f;  // zero the padding lanes
+      }
+    }
+  }
+}
 
-template <typename W>
-void linear_forward_rows_blocked(const MatF& x, const PackedMat<W>& w,
-                                 std::span<const float> b, MatF& y, int row_begin,
-                                 int row_end) {
+void linear_forward_rows_blocked(const MatF& x, const PackedMat& w, std::span<const float> b,
+                                 MatF& y, int row_begin, int row_end) {
   const int in = x.cols(), out = w.rows();
   if (w.cols() != in) {
     throw std::invalid_argument("linear_forward_rows_blocked: shape mismatch");
@@ -197,27 +155,13 @@ void linear_forward_rows_blocked(const MatF& x, const PackedMat<W>& w,
   if (y.rows() != x.rows() || y.cols() != out) {
     throw std::invalid_argument("linear_forward_rows_blocked: y must be pre-sized");
   }
-  if constexpr (std::is_same_v<W, bf16>) {
-    forward_rows_bf16(x, w, b, y, row_begin, row_end);
-  } else {
-    forward_rows_f32(x, w, b, y, row_begin, row_end);
-  }
+  forward_rows(x, w, b, y, row_begin, row_end);
 }
 
-template <typename W>
-void linear_forward_blocked(const MatF& x, const PackedMat<W>& w, std::span<const float> b,
+void linear_forward_blocked(const MatF& x, const PackedMat& w, std::span<const float> b,
                             MatF& y) {
   y.resize(x.rows(), w.rows());
   linear_forward_rows_blocked(x, w, b, y, 0, x.rows());
 }
-
-template void linear_forward_rows_blocked<float>(const MatF&, const PackedMatF&,
-                                                 std::span<const float>, MatF&, int, int);
-template void linear_forward_rows_blocked<bf16>(const MatF&, const PackedMatBf16&,
-                                                std::span<const float>, MatF&, int, int);
-template void linear_forward_blocked<float>(const MatF&, const PackedMatF&,
-                                            std::span<const float>, MatF&);
-template void linear_forward_blocked<bf16>(const MatF&, const PackedMatBf16&,
-                                           std::span<const float>, MatF&);
 
 }  // namespace teal::nn

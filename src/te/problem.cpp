@@ -10,6 +10,14 @@
 
 namespace teal::te {
 
+void check_index_count(long long count, const char* what) {
+  if (count > static_cast<long long>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument("Problem: " + std::string(what) + " = " + std::to_string(count) +
+                                " exceeds the int index space; cap the demand sample "
+                                "(traffic::sample_demands) or lower k_paths");
+  }
+}
+
 double TrafficMatrix::total() const {
   return std::accumulate(volume.begin(), volume.end(), 0.0);
 }
@@ -21,14 +29,8 @@ Problem::Problem(topo::Graph g, std::vector<Demand> demands, int k_paths)
   // solver's flattened arrays). A generated graph at 10x-ASN scale with an
   // unbounded demand set could overflow it; fail loudly up front instead of
   // silently wrapping ids after the expensive path precomputation.
-  const long long max_paths =
-      static_cast<long long>(demands.size()) * static_cast<long long>(k_paths);
-  if (max_paths > static_cast<long long>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument(
-        "Problem: demands * k_paths = " + std::to_string(max_paths) +
-        " exceeds the int path-id space; cap the demand sample "
-        "(traffic::sample_demands) or lower k_paths");
-  }
+  check_index_count(static_cast<long long>(demands.size()) * static_cast<long long>(k_paths),
+                    "demands * k_paths");
 
   // Yen's algorithm per demand, parallelized (path precomputation is a
   // one-time cost excluded from the computation-time metric, §5.1).
@@ -36,6 +38,13 @@ Problem::Problem(topo::Graph g, std::vector<Demand> demands, int k_paths)
   util::ThreadPool::global().parallel_for(demands.size(), [&](std::size_t i) {
     per_demand[i] = topo::yen_ksp(graph_, demands[i].src, demands[i].dst, k_paths);
   });
+  // The path-edge incidences are int-indexed too (the CSR offsets and ADMM's
+  // l4); long paths can overflow them before the path ids do.
+  long long incidences = 0;
+  for (const auto& paths : per_demand) {
+    for (const auto& p : paths) incidences += static_cast<long long>(p.size());
+  }
+  check_index_count(incidences, "path-edge incidences");
 
   path_offset_.push_back(0);
   path_edge_offset_.push_back(0);

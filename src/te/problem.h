@@ -118,6 +118,11 @@ class Problem {
   std::vector<int> edge_path_ids_;           // size num_incidences(), edge-major
 };
 
+// Throws std::invalid_argument, naming `what` and `count`, when `count`
+// exceeds INT_MAX. Problem's path ids and path-edge incidences are
+// int-indexed; its constructor checks both counts through this guard.
+void check_index_count(long long count, const char* what);
+
 // All (src, dst) ordered pairs of g.
 std::vector<Demand> all_pairs_demands(const topo::Graph& g);
 

@@ -7,7 +7,6 @@ namespace teal::te {
 const char* precision_name(Precision p) {
   switch (p) {
     case Precision::f32: return "f32";
-    case Precision::bf16: return "bf16";
     default: return "f64";
   }
 }

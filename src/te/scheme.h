@@ -57,12 +57,7 @@ struct BatchSolve {
 // the ADMM fine-tune and every reduction stay double, so the flow-allocation
 // error is bounded by logit rounding alone (tests/precision_test.cpp
 // measures the bound per topology).
-// bf16 narrows only the *stored weights* one step further (f32 -> bf16 with
-// round-to-nearest-even at snapshot time, widened back to f32 in the kernel
-// inner loop): activations, bias and every accumulation stay f32, so it is
-// f32 inference with 8-bit-mantissa weights — halved weight streaming at a
-// larger, still-ledgered allocation error.
-enum class Precision { f64, f32, bf16 };
+enum class Precision { f64, f32 };
 
 const char* precision_name(Precision p);
 

@@ -10,6 +10,8 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "core/admm.h"
 #include "lp/path_lp.h"
@@ -332,6 +334,56 @@ TEST(AdmmOracle, WorkspaceReusedAcrossProblemSizesMatchesReference) {
     SCOPED_TRACE("Kdl again");
     expect_matches_reference_in(ws, kdl, cfg, kdl_trace.at(0), kdl.capacities(),
                                 violating_allocation(kdl));
+  }
+}
+
+// The total violation of `a` (demand overshoot plus per-edge load over
+// capacity) in Admm's normalisation, by a plain per-edge loop over the
+// paths on each edge.
+double returned_violation(const te::Problem& pb, const te::TrafficMatrix& tm,
+                          const std::vector<double>& caps, const te::Allocation& a) {
+  double scale = 1e-9;
+  for (double c : caps) scale += c;
+  scale /= static_cast<double>(caps.size());
+  double v = 0.0;
+  for (int d = 0; d < pb.num_demands(); ++d) {
+    double sum = 0.0;
+    for (int p = pb.path_begin(d); p < pb.path_end(d); ++p) {
+      sum += a.split[static_cast<std::size_t>(p)];
+    }
+    v += std::max(0.0, sum - 1.0);
+  }
+  for (int e = 0; e < pb.graph().num_edges(); ++e) {
+    double load = 0.0;
+    for (int p : pb.paths_on_edge(e)) {
+      const auto d = static_cast<std::size_t>(pb.demand_of_path(p));
+      load += a.split[static_cast<std::size_t>(p)] * (tm.volume[d] / scale);
+    }
+    v += std::max(0.0, load - caps[static_cast<std::size_t>(e)] / scale);
+  }
+  return v;
+}
+
+TEST(Admm, ResidualAfterMeasuresTheReturnedAllocation) {
+  // Residuals::after is the violation of the allocation fine_tune returns,
+  // after the per-demand clamp, not of the last unclamped iterate.
+  traffic::Trace b4_trace, kdl_trace, swan_trace;
+  auto b4 = b4_problem(2.0, &b4_trace);
+  auto kdl = sampled_problem("Kdl", 150, 2.0, &kdl_trace);
+  auto swan = sampled_problem("SWAN", 80, 2.0, &swan_trace);
+  for (auto [name, pb, tm] : {std::tuple{"B4", &b4, &b4_trace.at(0)},
+                              std::tuple{"Kdl", &kdl, &kdl_trace.at(0)},
+                              std::tuple{"SWAN", &swan, &swan_trace.at(0)}}) {
+    SCOPED_TRACE(name);
+    core::AdmmConfig cfg;
+    cfg.iterations = core::default_admm_iterations(pb->graph().num_nodes());
+    const core::Admm admm(*pb, cfg);
+    auto a = scattered_allocation(*pb);
+    const auto caps = pb->capacities();
+    const auto res = admm.fine_tune(*tm, caps, a);
+    const double expect = returned_violation(*pb, *tm, caps, a);
+    EXPECT_GT(expect, 0.0);
+    EXPECT_NEAR(res.after, expect, 1e-9 * std::max(1.0, expect));
   }
 }
 

@@ -2,7 +2,6 @@
 // checks of every layer primitive.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -104,52 +103,6 @@ TEST(Mat, PoisonFillsSignalingNaNs) {
   for (double v : m.data()) EXPECT_TRUE(std::isnan(v));
 }
 
-// ---- bf16 storage type ---------------------------------------------------
-
-TEST(Bf16, WidenIsExactRoundTrip) {
-  // bf16 is f32 with the low mantissa bits dropped, so widening a bf16 and
-  // re-narrowing it must be the identity (every bf16 value is exactly
-  // representable in f32).
-  for (std::uint32_t hi : {0x0000u, 0x3F80u, 0xC2C8u, 0x7F80u, 0x0001u, 0x8000u}) {
-    nn::bf16 h{static_cast<std::uint16_t>(hi)};
-    EXPECT_EQ(nn::bf16_from_f32(nn::f32_from_bf16(h)).bits, h.bits) << hi;
-  }
-  EXPECT_FLOAT_EQ(nn::f32_from_bf16(nn::bf16{0x3F80}), 1.0f);
-  EXPECT_FLOAT_EQ(nn::f32_from_bf16(nn::bf16{0xC2C8}), -100.0f);
-}
-
-TEST(Bf16, RoundsToNearestEven) {
-  // 1.0f + one ulp-of-bf16/2 sits exactly between two bf16 values: RNE must
-  // pick the even low bit. 0x3F808000 is the midpoint between 0x3F80 (even)
-  // and 0x3F81 (odd) -> rounds down; 0x3F818000 is the midpoint between
-  // 0x3F81 and 0x3F82 -> rounds up to the even 0x3F82.
-  EXPECT_EQ(nn::bf16_from_f32(std::bit_cast<float>(0x3F808000u)).bits, 0x3F80);
-  EXPECT_EQ(nn::bf16_from_f32(std::bit_cast<float>(0x3F818000u)).bits, 0x3F82);
-  // Just past the midpoint rounds away.
-  EXPECT_EQ(nn::bf16_from_f32(std::bit_cast<float>(0x3F808001u)).bits, 0x3F81);
-  // Relative rounding error is bounded by 2^-8 (8-bit mantissa).
-  util::Rng rng(37);
-  for (int i = 0; i < 1000; ++i) {
-    const float v = static_cast<float>(rng.normal());
-    const float w = nn::f32_from_bf16(nn::bf16_from_f32(v));
-    EXPECT_LE(std::abs(w - v), std::abs(v) * (1.0f / 256.0f) + 1e-30f) << v;
-  }
-}
-
-TEST(Bf16, NaNStaysNaNAndInfStaysInf) {
-  // The RNE integer add must not carry a NaN payload into the exponent
-  // (which would turn NaN into inf) and must keep infinities exact.
-  const float qnan = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_TRUE(std::isnan(nn::f32_from_bf16(nn::bf16_from_f32(qnan))));
-  const float snan_payload = std::bit_cast<float>(0x7F800001u);
-  EXPECT_TRUE(std::isnan(nn::f32_from_bf16(nn::bf16_from_f32(snan_payload))));
-  const float inf = std::numeric_limits<float>::infinity();
-  EXPECT_EQ(nn::f32_from_bf16(nn::bf16_from_f32(inf)), inf);
-  EXPECT_EQ(nn::f32_from_bf16(nn::bf16_from_f32(-inf)), -inf);
-  // The poison pattern widens to a NaN, as the TEAL_DEBUG_MAT contract needs.
-  EXPECT_TRUE(std::isnan(nn::f32_from_bf16(nn::kBf16SignalingNaN)));
-}
-
 // ---- blocked panels ------------------------------------------------------
 
 TEST(PackedMat, PackZeroesPaddingLanes) {
@@ -159,12 +112,12 @@ TEST(PackedMat, PackZeroesPaddingLanes) {
   const int out = 10, in = 5;
   nn::MatF w(out, in);
   for (auto& v : w.data()) v = static_cast<float>(rng.normal());
-  nn::PackedMatF p;
+  nn::PackedMat p;
   nn::pack_weights(w, p);
   ASSERT_EQ(p.rows(), out);
   ASSERT_EQ(p.cols(), in);
   ASSERT_EQ(p.panels(), 2);
-  constexpr int L = nn::PackedMatF::kLanes;
+  constexpr int L = nn::PackedMat::kLanes;
   for (int pi = 0; pi < p.panels(); ++pi) {
     const float* panel = p.panel_ptr(pi);
     for (int i = 0; i < in; ++i) {
@@ -179,25 +132,15 @@ TEST(PackedMat, PackZeroesPaddingLanes) {
       }
     }
   }
-  // Same layout for the bf16 packing, with RNE narrowing on the live lanes.
-  nn::PackedMatBf16 pb;
-  nn::pack_weights(w, pb);
-  for (int i = 0; i < in; ++i) {
-    EXPECT_EQ(pb.panel_ptr(0)[i * L].bits, nn::bf16_from_f32(w.at(0, i)).bits);
-    EXPECT_EQ(pb.panel_ptr(1)[i * L + (out % L)].bits, 0) << "bf16 padding lane";
-  }
 }
 
 TEST(PackedMat, ResizePoisonContractUnderDebugMat) {
   if (!nn::debug_mat_enabled()) {
     GTEST_SKIP() << "TEAL_DEBUG_MAT is off in this build";
   }
-  nn::PackedMatF p;
+  nn::PackedMat p;
   p.resize(9, 3);
   for (float v : p.data()) EXPECT_TRUE(std::isnan(v));
-  nn::PackedMatBf16 pb;
-  pb.resize(4, 2);
-  for (nn::bf16 h : pb.data()) EXPECT_TRUE(std::isnan(nn::f32_from_bf16(h)));
 }
 
 TEST(PackedMat, BlockedForwardMatchesUnblockedWithinUlps) {
@@ -214,7 +157,7 @@ TEST(PackedMat, BlockedForwardMatchesUnblockedWithinUlps) {
   for (auto& v : b) v = static_cast<float>(rng.normal());
   nn::MatF ref, y;
   nn::linear_forward(x, w, b, ref);
-  nn::PackedMatF p;
+  nn::PackedMat p;
   nn::pack_weights(w, p);
   nn::linear_forward_blocked(x, p, b, y);
   ASSERT_EQ(y.rows(), n);
@@ -228,7 +171,7 @@ TEST(PackedMat, BlockedForwardMatchesUnblockedWithinUlps) {
 TEST(PackedMat, BlockedRowPartitionIsBitIdentical) {
   // The shard contract on the blocked kernel: any row partition — including
   // splits that break up the 4-row register blocks — produces the same bytes
-  // as the full-range run, in f32 and in bf16 storage.
+  // as the full-range run.
   util::Rng rng(47);
   const int n = 101, in = 16, out = 12;
   nn::MatF x(n, in), w(out, in);
@@ -236,10 +179,8 @@ TEST(PackedMat, BlockedRowPartitionIsBitIdentical) {
   for (auto& v : x.data()) v = static_cast<float>(rng.normal());
   for (auto& v : w.data()) v = static_cast<float>(rng.normal());
   for (auto& v : b) v = static_cast<float>(rng.normal());
-  nn::PackedMatF pf;
+  nn::PackedMat pf;
   nn::pack_weights(w, pf);
-  nn::PackedMatBf16 ph;
-  nn::pack_weights(w, ph);
 
   nn::MatF full(n, out), ranged(n, out);
   nn::linear_forward_rows_blocked(x, pf, b, full, 0, n);
@@ -248,19 +189,12 @@ TEST(PackedMat, BlockedRowPartitionIsBitIdentical) {
   nn::linear_forward_rows_blocked(x, pf, b, ranged, 37, n);
   EXPECT_EQ(0, std::memcmp(full.data().data(), ranged.data().data(),
                            full.data().size() * sizeof(float)));
-
-  nn::MatF full_h(n, out), ranged_h(n, out);
-  nn::linear_forward_rows_blocked(x, ph, b, full_h, 0, n);
-  nn::linear_forward_rows_blocked(x, ph, b, ranged_h, 0, 51);
-  nn::linear_forward_rows_blocked(x, ph, b, ranged_h, 51, n);
-  EXPECT_EQ(0, std::memcmp(full_h.data().data(), ranged_h.data().data(),
-                           full_h.data().size() * sizeof(float)));
 }
 
 TEST(PackedMat, BlockedForwardValidatesShapes) {
   nn::MatF x(4, 3), y(4, 2);
   nn::MatF w(2, 3);
-  nn::PackedMatF p;
+  nn::PackedMat p;
   nn::pack_weights(w, p);
   std::vector<float> b(2);
   EXPECT_NO_THROW(nn::linear_forward_rows_blocked(x, p, b, y, 0, 4));
@@ -273,7 +207,7 @@ TEST(PackedMat, BlockedForwardValidatesShapes) {
   nn::MatF bad_y(4, 3);
   EXPECT_THROW(nn::linear_forward_rows_blocked(x, p, b, bad_y, 0, 4),
                std::invalid_argument);
-  EXPECT_THROW(nn::PackedMatF{}.resize(-1, 2), std::invalid_argument);
+  EXPECT_THROW(nn::PackedMat{}.resize(-1, 2), std::invalid_argument);
 }
 
 TEST(PackedLinear, SnapshotsMatchDoubleForward) {
@@ -288,21 +222,10 @@ TEST(PackedLinear, SnapshotsMatchDoubleForward) {
     xf.data()[i] = static_cast<float>(x.data()[i]);
   }
 
-  nn::LinearPackedF32 snap = lin.snapshot_packed_f32();
+  nn::PackedLinear snap = lin.snapshot_packed();
   snap.forward_rows(xf, yf, 0, 5);
   for (std::size_t i = 0; i < y.data().size(); ++i) {
     EXPECT_NEAR(static_cast<double>(yf.data()[i]), y.data()[i], 1e-5);
-  }
-
-  // The bf16 snapshot rounds each weight to 8 mantissa bits; with in = 6 the
-  // accumulated relative error stays well under 2^-7.
-  nn::LinearBf16 half = lin.snapshot_bf16();
-  nn::MatF yh(5, 10);
-  half.forward_rows(xf, yh, 0, 5);
-  for (std::size_t i = 0; i < y.data().size(); ++i) {
-    EXPECT_NEAR(static_cast<double>(yh.data()[i]), y.data()[i],
-                1e-1 * std::max(1.0, std::abs(y.data()[i])));
-    EXPECT_NE(yh.data()[i], 0.0f);
   }
 }
 

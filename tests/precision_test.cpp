@@ -34,15 +34,6 @@ namespace {
 constexpr double kSplitAbsBound = 5e-3;
 constexpr double kObjectiveRelBound = 2e-3;
 
-// bf16 bounds are wider: the stored weights carry 8 mantissa bits (relative
-// rounding ~2^-9 per weight under RNE), which perturbs the logits by orders
-// of magnitude more than f32's 24-bit rounding. Activations and accumulation
-// stay f32, so the error does not compound beyond the weight rounding. As
-// with the f32 bounds these are deliberately slack vs. the observed errors
-// in the EXPERIMENTS.md ledger.
-constexpr double kBf16SplitAbsBound = 5e-2;
-constexpr double kBf16ObjectiveRelBound = 2e-2;
-
 struct SmallInstance {
   std::string name;
   te::Problem pb;
@@ -109,73 +100,6 @@ TEST(Precision, F32WithinBoundsOnAllTopologies) {
   }
 }
 
-TEST(Precision, Bf16WithinBoundsOnAllTopologies) {
-  // Same contract as the f32 sweep, at the bf16 storage bounds, and the f64
-  // reference must come back byte-identical after the bf16 run (toggling the
-  // knob must not perturb any f64 state).
-  const std::vector<std::pair<std::string, int>> topos = {
-      {"B4", 40}, {"SWAN", 80}, {"UsCarrier", 80}, {"Kdl", 50}, {"ASN", 50}};
-  for (const auto& [name, nd] : topos) {
-    SCOPED_TRACE(name);
-    auto inst = make_small(name, nd);
-    auto scheme = make_untrained(inst.pb);
-
-    te::Allocation a64 = scheme.solve(inst.pb, inst.tm);
-    scheme.set_precision(te::Precision::bf16);
-    ASSERT_EQ(scheme.precision(), te::Precision::bf16);
-    te::Allocation a16 = scheme.solve(inst.pb, inst.tm);
-
-    ASSERT_EQ(a16.split.size(), a64.split.size());
-    double max_abs = 0.0;
-    for (std::size_t i = 0; i < a64.split.size(); ++i) {
-      max_abs = std::max(max_abs, std::abs(a64.split[i] - a16.split[i]));
-    }
-    EXPECT_LE(max_abs, kBf16SplitAbsBound) << "max split error " << max_abs;
-
-    const double f64_obj = te::total_feasible_flow(inst.pb, inst.tm, a64);
-    const double b16_obj = te::total_feasible_flow(inst.pb, inst.tm, a16);
-    ASSERT_GT(f64_obj, 0.0);
-    EXPECT_LE(std::abs(f64_obj - b16_obj) / f64_obj, kBf16ObjectiveRelBound)
-        << "f64 " << f64_obj << " vs bf16 " << b16_obj;
-
-    scheme.set_precision(te::Precision::f64);
-    te::Allocation again = scheme.solve(inst.pb, inst.tm);
-    EXPECT_TRUE(bytes_equal(a64, again));
-  }
-}
-
-TEST(Precision, Bf16SolveDeterministicAndShardInvariant) {
-  auto inst = make_small("SWAN", 80);
-  auto scheme = make_untrained(inst.pb);
-  scheme.set_precision(te::Precision::bf16);
-
-  scheme.set_shard_count(1);
-  te::Allocation seq = scheme.solve(inst.pb, inst.tm);
-  te::Allocation seq2 = scheme.solve(inst.pb, inst.tm);
-  EXPECT_TRUE(bytes_equal(seq, seq2)) << "bf16 solve must be deterministic";
-
-  for (int shards : {2, 3, 5}) {
-    SCOPED_TRACE(shards);
-    scheme.set_shard_count(shards);
-    te::Allocation sharded = scheme.solve(inst.pb, inst.tm);
-    EXPECT_TRUE(bytes_equal(seq, sharded));
-  }
-}
-
-TEST(Precision, Bf16DiffersFromBothF64AndF32) {
-  // bf16 must be a genuinely third arithmetic: not silently f64, and not
-  // silently the f32 path with unrounded weights.
-  auto inst = make_small("SWAN", 80);
-  auto scheme = make_untrained(inst.pb);
-  te::Allocation a64 = scheme.solve(inst.pb, inst.tm);
-  scheme.set_precision(te::Precision::f32);
-  te::Allocation a32 = scheme.solve(inst.pb, inst.tm);
-  scheme.set_precision(te::Precision::bf16);
-  te::Allocation a16 = scheme.solve(inst.pb, inst.tm);
-  EXPECT_FALSE(bytes_equal(a64, a16));
-  EXPECT_FALSE(bytes_equal(a32, a16));
-}
-
 TEST(Precision, F32SolveDeterministicAndShardInvariant) {
   auto inst = make_small("SWAN", 80);
   auto scheme = make_untrained(inst.pb);
@@ -214,12 +138,10 @@ TEST(Precision, KnobSemantics) {
   auto scheme = make_untrained(inst.pb);
   EXPECT_TRUE(scheme.supports_precision(te::Precision::f64));
   EXPECT_TRUE(scheme.supports_precision(te::Precision::f32));
-  EXPECT_TRUE(scheme.supports_precision(te::Precision::bf16));
   EXPECT_EQ(scheme.precision(), te::Precision::f64);
 
   EXPECT_STREQ(te::precision_name(te::Precision::f32), "f32");
   EXPECT_STREQ(te::precision_name(te::Precision::f64), "f64");
-  EXPECT_STREQ(te::precision_name(te::Precision::bf16), "bf16");
 }
 
 TEST(Precision, SchemeOverVariantModelReportsNoF32) {
@@ -234,20 +156,17 @@ TEST(Precision, SchemeOverVariantModelReportsNoF32) {
       inst.pb, std::make_unique<core::NaiveDnnModel>(core::NaiveDnnConfig{}, inst.pb),
       core::TealSchemeConfig{}, "Teal-DNN");
   EXPECT_FALSE(scheme.supports_precision(te::Precision::f32));
-  EXPECT_FALSE(scheme.supports_precision(te::Precision::bf16));
   EXPECT_THROW(scheme.set_precision(te::Precision::f32), std::invalid_argument);
-  EXPECT_EQ(scheme.precision(), te::Precision::f64);
-  EXPECT_THROW(scheme.set_precision(te::Precision::bf16), std::invalid_argument);
   EXPECT_EQ(scheme.precision(), te::Precision::f64);
   EXPECT_NO_THROW(scheme.solve(inst.pb, inst.tm));
 }
 
 TEST(Precision, FleetTenantsServeAtTheirOwnSchemesPrecision) {
   // Precision is a per-scheme setting, so two tenants of one fleet replay
-  // can run at different precisions: B4 at f32 beside SWAN at bf16. Each
+  // can run at different precisions: B4 at f32 beside SWAN at f64. Each
   // tenant's served allocations must be byte-equal to its own scheme's
-  // direct solve at that precision (same narrowed path through a replica
-  // workspace).
+  // direct solve at that precision (same path through a replica workspace)
+  // and differ from a direct solve at the other tenant's precision.
   auto trace_of = [](const te::Problem& pb) {
     traffic::TraceConfig tc;
     tc.n_intervals = 4;
@@ -260,7 +179,6 @@ TEST(Precision, FleetTenantsServeAtTheirOwnSchemesPrecision) {
   auto b4_scheme = make_untrained(b4.pb);
   auto swan_scheme = make_untrained(swan.pb);
   b4_scheme.set_precision(te::Precision::f32);
-  swan_scheme.set_precision(te::Precision::bf16);
 
   sim::ServedFleetConfig cfg;
   cfg.total_replicas = 2;
@@ -271,44 +189,43 @@ TEST(Precision, FleetTenantsServeAtTheirOwnSchemesPrecision) {
       cfg);
   ASSERT_EQ(res.tenants.size(), 2u);
 
-  auto expect_served_at = [&](te::Precision narrowed, std::size_t i, core::TealScheme& scheme,
-                              const te::Problem& pb, const traffic::Trace& trace) {
+  auto expect_served_at = [&](te::Precision served, te::Precision other, std::size_t i,
+                              core::TealScheme& scheme, const te::Problem& pb,
+                              const traffic::Trace& trace) {
     SCOPED_TRACE(res.stats.tenants[i].name);
-    ASSERT_EQ(scheme.precision(), narrowed) << "the replay changed the scheme's setting";
+    ASSERT_EQ(scheme.precision(), served) << "the replay changed the scheme's setting";
     EXPECT_EQ(res.stats.tenants[i].serve.completed, res.stats.tenants[i].serve.accepted);
-    bool differs_from_f64 = false;
+    bool differs_from_other = false;
     for (int t = 0; t < trace.size(); ++t) {
       const auto k = static_cast<std::size_t>(t);
       ASSERT_TRUE(res.tenants[i].accepted[k]);  // queue holds the trace: no shed
       EXPECT_TRUE(bytes_equal(scheme.solve(pb, trace.at(t)), res.tenants[i].allocs[k]));
-      scheme.set_precision(te::Precision::f64);
-      differs_from_f64 |= !bytes_equal(scheme.solve(pb, trace.at(t)), res.tenants[i].allocs[k]);
-      scheme.set_precision(narrowed);
+      scheme.set_precision(other);
+      differs_from_other |=
+          !bytes_equal(scheme.solve(pb, trace.at(t)), res.tenants[i].allocs[k]);
+      scheme.set_precision(served);
     }
-    EXPECT_TRUE(differs_from_f64) << "tenant served f64, not " << te::precision_name(narrowed);
+    EXPECT_TRUE(differs_from_other) << "tenant served " << te::precision_name(other)
+                                    << ", not " << te::precision_name(served);
   };
-  expect_served_at(te::Precision::f32, 0, b4_scheme, b4.pb, b4_trace);
-  expect_served_at(te::Precision::bf16, 1, swan_scheme, swan.pb, swan_trace);
+  expect_served_at(te::Precision::f32, te::Precision::f64, 0, b4_scheme, b4.pb, b4_trace);
+  expect_served_at(te::Precision::f64, te::Precision::f32, 1, swan_scheme, swan.pb, swan_trace);
 }
 
 TEST(Precision, WarmNarrowedSolvesAllocateNothing) {
   // The blocked kernels and the packed panels live inside the workspace
-  // allocation contract: once warm, f32 and bf16 solves must not touch the
-  // heap at all (panels are model-side snapshots built at set_precision
-  // time, outside any solve).
+  // allocation contract: once warm, f32 solves must not touch the heap at
+  // all (panels are model-side snapshots built at set_precision time,
+  // outside any solve).
   auto inst = make_small("B4", 30);
   auto scheme = make_untrained(inst.pb);
   te::Allocation out;
-  for (te::Precision p : {te::Precision::f32, te::Precision::bf16}) {
-    SCOPED_TRACE(te::precision_name(p));
-    scheme.set_precision(p);
-    scheme.solve_into(inst.pb, inst.tm, out);
-    scheme.solve_into(inst.pb, inst.tm, out);  // second pass: steady state
-    util::AllocCounter allocs;
-    scheme.solve_into(inst.pb, inst.tm, out);
-    EXPECT_EQ(allocs.count(), 0u)
-        << "warm narrowed solve_into must not touch the heap";
-  }
+  scheme.set_precision(te::Precision::f32);
+  scheme.solve_into(inst.pb, inst.tm, out);
+  scheme.solve_into(inst.pb, inst.tm, out);  // second pass: steady state
+  util::AllocCounter allocs;
+  scheme.solve_into(inst.pb, inst.tm, out);
+  EXPECT_EQ(allocs.count(), 0u) << "warm narrowed solve_into must not touch the heap";
 }
 
 TEST(Precision, ColdArenaNarrowedSolveStaysO1Allocations) {
@@ -319,29 +236,26 @@ TEST(Precision, ColdArenaNarrowedSolveStaysO1Allocations) {
   // packing is a model-side, once-per-process cost, not a replica cost.
   auto inst = make_small("B4", 30);
   auto scheme = make_untrained(inst.pb);
-  for (te::Precision p : {te::Precision::f32, te::Precision::bf16}) {
-    SCOPED_TRACE(te::precision_name(p));
-    scheme.set_precision(p);
-    te::Allocation ref, out;
-    {
-      core::SolveWorkspace heap_ws;
-      scheme.solve_replica(heap_ws, inst.pb, inst.tm, ref);
-    }
-    out = ref;  // pre-sized output, as in the f64 cold-start test
-    util::Arena arena;
-    arena.reserve(1u << 20);
-    util::ArenaScope bind(&arena);
-    core::SolveWorkspace ws;
-    util::AllocCounter allocs;
-    scheme.solve_replica(ws, inst.pb, inst.tm, out);
-    EXPECT_LE(allocs.count(), 5u)
-        << "cold narrowed solve against a bound arena must stay O(1) heap allocations";
-    EXPECT_GT(arena.used(), 0u);
-    EXPECT_TRUE(bytes_equal(ref, out)) << "arena must not change the arithmetic";
-    allocs.reset();
-    scheme.solve_replica(ws, inst.pb, inst.tm, out);
-    EXPECT_EQ(allocs.count(), 0u);
+  scheme.set_precision(te::Precision::f32);
+  te::Allocation ref, out;
+  {
+    core::SolveWorkspace heap_ws;
+    scheme.solve_replica(heap_ws, inst.pb, inst.tm, ref);
   }
+  out = ref;  // pre-sized output, as in the f64 cold-start test
+  util::Arena arena;
+  arena.reserve(1u << 20);
+  util::ArenaScope bind(&arena);
+  core::SolveWorkspace ws;
+  util::AllocCounter allocs;
+  scheme.solve_replica(ws, inst.pb, inst.tm, out);
+  EXPECT_LE(allocs.count(), 5u)
+      << "cold narrowed solve against a bound arena must stay O(1) heap allocations";
+  EXPECT_GT(arena.used(), 0u);
+  EXPECT_TRUE(bytes_equal(ref, out)) << "arena must not change the arithmetic";
+  allocs.reset();
+  scheme.solve_replica(ws, inst.pb, inst.tm, out);
+  EXPECT_EQ(allocs.count(), 0u);
 }
 
 TEST(Precision, ForwardF32RequiresPreparedWeights) {
@@ -355,24 +269,6 @@ TEST(Precision, ForwardF32RequiresPreparedWeights) {
   model.prepare(te::Precision::f32);
   EXPECT_NO_THROW(
       model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::f32));
-}
-
-TEST(Precision, ForwardBf16RequiresPreparedWeights) {
-  auto inst = make_small("B4", 30);
-  core::TealModel model({}, inst.pb.k_paths(), 42);
-  core::ModelForward fwd;
-  const core::ShardPlan plan = core::ShardPlan::sequential(inst.pb.num_demands());
-  EXPECT_THROW(
-      model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::bf16),
-      std::logic_error);
-  // Preparing f32 alone is not enough — the bf16 snapshots are separate state.
-  model.prepare(te::Precision::f32);
-  EXPECT_THROW(
-      model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::bf16),
-      std::logic_error);
-  model.prepare(te::Precision::bf16);
-  EXPECT_NO_THROW(
-      model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::bf16));
 }
 
 TEST(Precision, F32LogitsTrackF64Logits) {
@@ -419,12 +315,11 @@ TEST(Precision, VariantRejectsNarrowedForward) {
   EXPECT_TRUE(model.supports(te::Precision::f64));
   core::ModelForward fwd;
   const core::ShardPlan plan = core::ShardPlan::sequential(inst.pb.num_demands());
-  for (te::Precision p : {te::Precision::f32, te::Precision::bf16}) {
-    EXPECT_FALSE(model.supports(p));
-    EXPECT_THROW(model.prepare(p), std::logic_error);
-    EXPECT_THROW(model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, p),
-                 std::logic_error);
-  }
+  EXPECT_FALSE(model.supports(te::Precision::f32));
+  EXPECT_THROW(model.prepare(te::Precision::f32), std::logic_error);
+  EXPECT_THROW(
+      model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan, nullptr, te::Precision::f32),
+      std::logic_error);
   EXPECT_NO_THROW(model.forward_ws(inst.pb, inst.tm, nullptr, fwd, plan));
 }
 

@@ -151,7 +151,6 @@ inline core::Admm::Residuals reference_fine_tune(const te::Problem& pb,
     }
   }
 
-  res.after = violation(x);
   a.split.resize(static_cast<std::size_t>(np));
   for (int d = 0; d < nd; ++d) {
     const bool over = x_sum[d] > 1.0;
@@ -160,6 +159,7 @@ inline core::Admm::Residuals reference_fine_tune(const te::Problem& pb,
       a.split[p] = x[p];
     }
   }
+  res.after = violation(x);  // the residual of the allocation returned
   return res;
 }
 

@@ -7,16 +7,18 @@
 // the topo_io round-trip fixpoint, the scenario driver's serving contracts —
 // including shard- and replica-count bit-identity on a generated topology
 // more than twice ASN's size — and the latent-assumption audit regressions
-// (path-id overflow, auto-shard overflow signature).
+// (path-id and incidence-count overflow, auto-shard overflow signature).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -910,6 +912,21 @@ TEST(ScenarioAudit, ProblemRejectsPathIdOverflow) {
   // constructor must throw before computing a single path.
   EXPECT_THROW(te::Problem(std::move(g), std::move(demands), 30'000'000),
                std::invalid_argument);
+}
+
+TEST(ScenarioAudit, IndexCountGuardStopsAtIntMax) {
+  // The guard behind both of Problem's int-index checks (demands * k_paths
+  // and the path-edge incidences), at its boundary.
+  const long long int_max = std::numeric_limits<int>::max();
+  EXPECT_NO_THROW(te::check_index_count(int_max, "path-edge incidences"));
+  try {
+    te::check_index_count(int_max + 1, "path-edge incidences");
+    ADD_FAILURE() << "INT_MAX + 1 incidences must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("path-edge incidences"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(std::to_string(int_max + 1)), std::string::npos) << msg;
+  }
 }
 
 TEST(ScenarioAudit, UnknownBundledTopologyThrows) {
