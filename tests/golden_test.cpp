@@ -1,11 +1,13 @@
-// Golden digests of the f64 Teal solve and of training. Each solve case
-// hashes (FNV-1a over the raw split bytes) the allocations an untrained
-// TealModel (seed 42) produces through TealScheme::solve_into at fixed
-// instance seeds. Each training case hashes the parameters one trainer epoch
-// leaves behind (plus the epoch's reported reward/validation scores), for
-// TealModel and every Figure 14 ablation variant. A refactor of the solve or
-// training path must leave every digest unchanged; an intentional numeric
-// change updates the digest together with a CHANGES.md line saying why.
+// Golden digests of the f64 Teal solve, of training and of the precomputed
+// paths. Each solve case hashes (FNV-1a over the raw split bytes) the
+// allocations an untrained TealModel (seed 42) produces through
+// TealScheme::solve_into at fixed instance seeds. Each training case hashes
+// the parameters one trainer epoch leaves behind (plus the epoch's reported
+// reward/validation scores), for TealModel and every Figure 14 ablation
+// variant. Each path case hashes the Yen paths te::Problem precomputes. A
+// refactor of the solve, training or path precompute must leave every digest
+// unchanged; an intentional numeric change updates the digest together with
+// a CHANGES.md line saying why.
 //
 // The digests pin bits, so they also pin the toolchain: they were computed
 // with GCC 12 on x86-64 under ISO C++20 (no GNU extensions, so
@@ -87,6 +89,59 @@ TEST(Golden, F64SolveDigestsAreUnchanged) {
   };
   for (const auto& c : cases) {
     const std::uint64_t h = solve_digest(c, 2);
+    EXPECT_EQ(h, c.digest) << c.name << ": observed digest 0x" << std::hex << h;
+  }
+}
+
+// Digest of every path te::Problem precomputes (Yen, k = 4): FNV-1a over
+// each path's int32 edge ids, with a '|' byte after each path and a '#' byte
+// after each demand. It pins the paths bit for bit, in order, so any rewrite
+// of the path precompute must reproduce them exactly. The demand counts stay
+// small enough for the sanitizer legs.
+std::uint64_t path_digest(const te::Problem& pb) {
+  std::uint64_t h = 1469598103934665603ull;
+  const char path_end = '|', demand_end = '#';
+  for (int d = 0; d < pb.num_demands(); ++d) {
+    for (int p = pb.path_begin(d); p < pb.path_end(d); ++p) {
+      const auto edges = pb.path_edges(p);
+      h = fnv1a(edges.data(), edges.size() * sizeof(topo::EdgeId), h);
+      h = fnv1a(&path_end, 1, h);
+    }
+    h = fnv1a(&demand_end, 1, h);
+  }
+  return h;
+}
+
+TEST(Golden, PathDigestsAreUnchanged) {
+  const std::vector<GoldenCase> cases = {
+      {"B4", [] { return topo::make_topology("B4"); }, 132, 0x012cbb1cc47458c7ull},
+      {"SWAN", [] { return topo::make_topology("SWAN"); }, 1500, 0x8dece9258eb4ea8eull},
+      {"UsCarrier", [] { return topo::make_topology("UsCarrier"); }, 1500, 0x4f3e021ab31dfd6bull},
+      {"Kdl", [] { return topo::make_topology("Kdl"); }, 1000, 0x9d403cd64e0c8f54ull},
+      {"ASN", [] { return topo::make_topology("ASN"); }, 1000, 0x290b2cdf5e035681ull},
+      {"waxman-200",
+       [] {
+         scenario::WaxmanConfig wc;
+         wc.n_nodes = 200;
+         wc.seed = 5;
+         return scenario::make_waxman(wc);
+       },
+       1500, 0xc74c870a0c003577ull},
+      {"power-law-300",
+       [] {
+         scenario::PowerLawConfig pc;
+         pc.n_nodes = 300;
+         pc.m = 2;
+         pc.seed = 7;
+         return scenario::make_power_law(pc);
+       },
+       1500, 0xa1ca86301fbfcec8ull},
+  };
+  for (const auto& c : cases) {
+    auto g = c.graph();
+    auto demands = traffic::sample_demands(g, c.n_demands, /*seed=*/11);
+    const te::Problem pb(std::move(g), std::move(demands), 4);
+    const std::uint64_t h = path_digest(pb);
     EXPECT_EQ(h, c.digest) << c.name << ": observed digest 0x" << std::hex << h;
   }
 }

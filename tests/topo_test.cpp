@@ -1,14 +1,21 @@
-// Unit tests for the topology substrate: graph, shortest paths, Yen's KSP,
-// generators (Table 1 counts), statistics (Table 3 / Fig 17).
+// Unit tests for the topology substrate: graph, shortest paths, Yen's KSP
+// (against the plain oracle in reference_yen.h), generators (Table 1
+// counts), statistics (Table 3 / Fig 17).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <set>
+#include <string>
 
+#include "reference_yen.h"
+#include "te/problem.h"
 #include "topo/graph.h"
 #include "topo/shortest_path.h"
 #include "topo/topo_stats.h"
 #include "topo/topology.h"
+#include "traffic/traffic.h"
 
 namespace teal {
 namespace {
@@ -172,6 +179,133 @@ TEST(Yen, PathsAreSimple) {
   auto paths = topo::yen_ksp(g, 0, g.num_nodes() - 1, 4);
   for (const auto& p : paths) {
     EXPECT_NO_THROW(topo::validate_path(g, p, 0, g.num_nodes() - 1));
+  }
+}
+
+// Yen's paths must equal the oracle's, edge for edge and in order, for every
+// ordered node pair (src == dst included).
+void expect_matches_oracle(const topo::Graph& g, int k, const std::string& what) {
+  for (topo::NodeId d = 0; d < g.num_nodes(); ++d) {
+    for (topo::NodeId s = 0; s < g.num_nodes(); ++s) {
+      EXPECT_EQ(topo::yen_ksp(g, s, d, k), reference::reference_yen_ksp(g, s, d, k))
+          << what << ": " << s << " -> " << d << ", k = " << k;
+    }
+  }
+}
+
+// n x n grid of unit-latency links: every pair has many equal-latency paths.
+topo::Graph unit_grid(int n) {
+  topo::Graph g("grid");
+  g.add_nodes(n * n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) {
+      if (c + 1 < n) g.add_link(r * n + c, r * n + c + 1, 1.0, 1.0);
+      if (r + 1 < n) g.add_link(r * n + c, (r + 1) * n + c, 1.0, 1.0);
+    }
+  }
+  return g;
+}
+
+// Random directed graph: a bidirectional ring (so it is strongly connected)
+// plus `extra` random directed edges whose latencies are drawn from
+// `latencies`. Repeated endpoints give parallel edges.
+topo::Graph random_tie_graph(int n, int extra, const std::vector<double>& latencies,
+                             std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  auto pick = [&](std::size_t m) { return static_cast<std::size_t>(rng() % m); };
+  topo::Graph g("random");
+  g.add_nodes(n);
+  for (int v = 0; v < n; ++v) g.add_link(v, (v + 1) % n, 1.0, latencies[pick(latencies.size())]);
+  for (int i = 0; i < extra; ++i) {
+    const auto a = static_cast<topo::NodeId>(pick(static_cast<std::size_t>(n)));
+    const auto b = static_cast<topo::NodeId>(pick(static_cast<std::size_t>(n)));
+    if (a != b) g.add_edge(a, b, 1.0, latencies[pick(latencies.size())]);
+  }
+  return g;
+}
+
+TEST(YenOracle, UnitGridTies) {
+  const auto g = unit_grid(5);
+  expect_matches_oracle(g, 4, "5x5 grid");
+  EXPECT_EQ(topo::yen_ksp(g, 0, 24, 8), reference::reference_yen_ksp(g, 0, 24, 8));
+}
+
+TEST(YenOracle, B4AllPairs) {
+  // B4's hand-set latencies have exact ties.
+  const auto g = topo::make_b4();
+  expect_matches_oracle(g, 4, "B4");
+  expect_matches_oracle(g, 7, "B4");
+}
+
+TEST(YenOracle, SmallIntegerLatenciesWithParallelEdges) {
+  for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+    const auto g = random_tie_graph(30, 60, {1.0, 2.0, 3.0}, seed);
+    expect_matches_oracle(g, 5, "random {1,2,3} seed " + std::to_string(seed));
+  }
+}
+
+TEST(YenOracle, ZeroLatencyEdges) {
+  for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+    const auto g = random_tie_graph(20, 40, {0.0, 0.0, 1.0, 2.5}, seed);
+    expect_matches_oracle(g, 5, "zero-latency seed " + std::to_string(seed));
+  }
+  // All-zero latencies: every path ties with every other.
+  expect_matches_oracle(random_tie_graph(12, 20, {0.0}, 9), 4, "all-zero");
+}
+
+TEST(YenOracle, UnreachablePairs) {
+  // Two one-way chains joined by a single edge, plus an isolated node.
+  topo::Graph g("oneway");
+  g.add_nodes(9);
+  g.add_edge(0, 1, 1.0, 1.0);
+  g.add_edge(1, 2, 1.0, 1.0);
+  g.add_edge(0, 2, 1.0, 2.0);
+  g.add_edge(2, 3, 1.0, 0.5);
+  g.add_edge(4, 5, 1.0, 1.0);
+  g.add_edge(5, 6, 1.0, 1.0);
+  g.add_edge(4, 6, 1.0, 2.5);
+  g.add_edge(3, 4, 1.0, 1.0);
+  g.add_edge(6, 7, 1.0, 1.0);
+  expect_matches_oracle(g, 4, "one-way chains");
+  EXPECT_TRUE(topo::yen_ksp(g, 7, 0, 4).empty());
+  EXPECT_TRUE(topo::yen_ksp(g, 0, 8, 4).empty());
+}
+
+TEST(YenOracle, KBeyondSimplePathCount) {
+  const auto g = diamond();
+  EXPECT_EQ(topo::yen_ksp(g, 0, 3, 10).size(), 3u);
+  expect_matches_oracle(g, 10, "diamond");
+  expect_matches_oracle(unit_grid(3), 40, "3x3 grid");
+}
+
+TEST(YenOracle, DegenerateArguments) {
+  const auto g = diamond();
+  EXPECT_TRUE(topo::yen_ksp(g, 0, 3, 0).empty());
+  EXPECT_TRUE(topo::yen_ksp(g, 0, 3, -1).empty());
+  EXPECT_TRUE(topo::yen_ksp(g, 2, 2, 4).empty());
+  EXPECT_TRUE(reference::reference_yen_ksp(g, 0, 3, 0).empty());
+  EXPECT_TRUE(reference::reference_yen_ksp(g, 2, 2, 4).empty());
+}
+
+// te::Problem precomputes on the pool (run with TEAL_POOL_THREADS=4 to force
+// the fan-out on any host); its paths must equal per-demand sequential
+// yen_ksp calls in demand order.
+TEST(YenOracle, ProblemPathsMatchSequentialYen) {
+  auto g = topo::make_topology("SWAN");
+  auto demands = traffic::sample_demands(g, 2000, /*seed=*/3);
+  const topo::Graph copy = g;
+  const auto expected_demands = demands;
+  const te::Problem pb(std::move(g), std::move(demands), 4);
+  ASSERT_EQ(pb.num_demands(), static_cast<int>(expected_demands.size()));
+  for (int d = 0; d < pb.num_demands(); ++d) {
+    const auto& dm = expected_demands[static_cast<std::size_t>(d)];
+    const auto paths = topo::yen_ksp(copy, dm.src, dm.dst, 4);
+    ASSERT_EQ(pb.num_paths(d), static_cast<int>(paths.size())) << "demand " << d;
+    for (int i = 0; i < pb.num_paths(d); ++i) {
+      const auto edges = pb.path_edges(pb.path_begin(d) + i);
+      EXPECT_EQ(topo::Path(edges.begin(), edges.end()), paths[static_cast<std::size_t>(i)])
+          << "demand " << d << " path " << i;
+    }
   }
 }
 
