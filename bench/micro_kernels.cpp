@@ -1,6 +1,6 @@
 // micro_kernels — google-benchmark microbenchmarks of the computational
 // kernels behind Teal's speed claims: FlowGNN forward pass, one ADMM
-// iteration, one PDHG sweep, Yen's k-shortest-paths, and feasibility repair.
+// iteration, one PDHG sweep, Kdl's Yen path precompute, and feasibility repair.
 //
 // These quantify the per-iteration asymmetry the paper exploits: the
 // NN + ADMM kernels are batched/parallel and take microseconds-to-
@@ -187,14 +187,18 @@ void BM_PdhgHundredSweeps(benchmark::State& state) {
 }
 BENCHMARK(BM_PdhgHundredSweeps)->Unit(benchmark::kMillisecond);
 
-void BM_YenFourShortestPaths(benchmark::State& state) {
-  auto g = topo::make_uscarrier_like();
+// The set-up cost Yen's k-shortest paths puts on a real instance: building
+// Kdl's 3000-demand te::Problem (4 paths per demand, on the pool) is almost
+// all path precompute.
+void BM_KdlProblemPathPrecompute(benchmark::State& state) {
+  const auto g = topo::make_topology("Kdl");
+  const auto demands = traffic::sample_demands(g, 3000, 7);
   for (auto _ : state) {
-    auto paths = topo::yen_ksp(g, 0, g.num_nodes() - 1, 4);
-    benchmark::DoNotOptimize(paths.data());
+    te::Problem pb(g, demands, 4);
+    benchmark::DoNotOptimize(pb.total_paths());
   }
 }
-BENCHMARK(BM_YenFourShortestPaths)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_KdlProblemPathPrecompute)->Unit(benchmark::kMillisecond);
 
 void BM_FeasibilityRepair(benchmark::State& state) {
   auto& f = swan();

@@ -1,5 +1,6 @@
 #include "te/problem.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -32,11 +33,26 @@ Problem::Problem(topo::Graph g, std::vector<Demand> demands, int k_paths)
   check_index_count(static_cast<long long>(demands.size()) * static_cast<long long>(k_paths),
                     "demands * k_paths");
 
-  // Yen's algorithm per demand, parallelized (path precomputation is a
-  // one-time cost excluded from the computation-time metric, §5.1).
+  // Yen's algorithm per demand on the pool (path precomputation is a one-time
+  // cost excluded from the computation-time metric, §5.1). The demands run in
+  // a stable order sorted by destination, one contiguous chunk per thread, so
+  // each chunk's YenSearch builds one reverse tree per destination it meets.
+  // Every result lands at its demand's own index, and a YenSearch returns
+  // exactly what yen_ksp does, so neither the order nor the chunking can
+  // change a path.
+  std::vector<std::size_t> order(demands.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return demands[a].dst < demands[b].dst;
+  });
   std::vector<std::vector<topo::Path>> per_demand(demands.size());
-  util::ThreadPool::global().parallel_for(demands.size(), [&](std::size_t i) {
-    per_demand[i] = topo::yen_ksp(graph_, demands[i].src, demands[i].dst, k_paths);
+  util::ThreadPool::global().parallel_chunks(order.size(), [&](std::size_t begin,
+                                                               std::size_t end) {
+    topo::YenSearch search(graph_);
+    for (std::size_t i = begin; i < end; ++i) {
+      const Demand& d = demands[order[i]];
+      per_demand[order[i]] = search.yen_ksp(d.src, d.dst, k_paths);
+    }
   });
   // The path-edge incidences are int-indexed too (the CSR offsets and ADMM's
   // l4); long paths can overflow them before the path ids do.

@@ -47,6 +47,7 @@ class Problem {
  public:
   // Builds the path formulation for `demands` on `g`, precomputing up to
   // `k_paths` shortest paths per demand (demands with no path are dropped).
+  // Throws std::out_of_range when a demand names a node outside `g`.
   Problem(topo::Graph g, std::vector<Demand> demands, int k_paths = 4);
 
   const topo::Graph& graph() const { return graph_; }

@@ -1,77 +1,241 @@
 #include "topo/shortest_path.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 #include <set>
+#include <stdexcept>
 #include <unordered_set>
+#include <utility>
 
 namespace teal::topo {
 
 namespace {
 
-SsspResult dijkstra_impl(const Graph& g, NodeId src,
-                         const std::vector<char>* node_banned,
-                         const std::vector<char>* edge_banned) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  SsspResult res;
-  res.dist.assign(n, kInf);
-  res.parent_edge.assign(n, kInvalidEdge);
-  if (node_banned && (*node_banned)[static_cast<std::size_t>(src)]) return res;
+using HeapItem = std::pair<double, NodeId>;  // (dist, node); std::greater pops the least
 
-  using Item = std::pair<double, NodeId>;  // (dist, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  res.dist[static_cast<std::size_t>(src)] = 0.0;
-  pq.emplace(0.0, src);
-  while (!pq.empty()) {
-    auto [d, v] = pq.top();
-    pq.pop();
-    if (d > res.dist[static_cast<std::size_t>(v)]) continue;  // stale entry
-    for (EdgeId e : g.out_edges(v)) {
-      if (edge_banned && (*edge_banned)[static_cast<std::size_t>(e)]) continue;
-      const Edge& ed = g.edge(e);
-      if (node_banned && (*node_banned)[static_cast<std::size_t>(ed.dst)]) continue;
-      double nd = d + ed.latency;
-      if (nd < res.dist[static_cast<std::size_t>(ed.dst)]) {
-        res.dist[static_cast<std::size_t>(ed.dst)] = nd;
-        res.parent_edge[static_cast<std::size_t>(ed.dst)] = e;
-        pq.emplace(nd, ed.dst);
+// Relative margin by which the reverse tree's answer must beat every
+// alternative before a spur search takes it (DESIGN.md, "Path precompute").
+// It must stay well above the forward sums' rounding, ~hops * 2^-53.
+constexpr double kTreeMarginRel = 1e-9;
+
+void check_node(const Graph& g, NodeId v) {
+  if (v < 0 || v >= g.num_nodes()) throw std::out_of_range("shortest path query: node id out of range");
+}
+
+// Dijkstra from src over the graph minus the banned nodes and edges that
+// stops when it pops dst: every edge on dst's parent chain is final by then.
+// The scratch is sized to the graph once and reset through the list of
+// nodes the last search reached.
+struct ForwardSearch {
+  const Graph& g;
+  std::vector<double> dist;
+  std::vector<EdgeId> parent_edge;
+  std::vector<NodeId> reached;
+  std::vector<HeapItem> heap;
+  std::vector<char> node_banned;
+  std::vector<char> edge_banned;
+
+  explicit ForwardSearch(const Graph& graph)
+      : g(graph),
+        dist(static_cast<std::size_t>(graph.num_nodes()), kInf),
+        parent_edge(static_cast<std::size_t>(graph.num_nodes()), kInvalidEdge),
+        node_banned(static_cast<std::size_t>(graph.num_nodes()), 0),
+        edge_banned(static_cast<std::size_t>(graph.num_edges()), 0) {}
+
+  // Appends the shortest src -> dst path (src != dst) to `out` and returns
+  // true, or returns false when no unbanned path exists.
+  bool run(NodeId src, NodeId dst, Path& out) {
+    // parent_edge needs no reset: only dst's chain is read, and this search
+    // writes every entry on it.
+    for (NodeId v : reached) dist[static_cast<std::size_t>(v)] = kInf;
+    reached.assign(1, src);
+    heap.assign(1, HeapItem{0.0, src});
+    dist[static_cast<std::size_t>(src)] = 0.0;
+    bool found = false;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, v] = heap.back();
+      heap.pop_back();
+      if (d > dist[static_cast<std::size_t>(v)]) continue;  // stale entry
+      if (v == dst) {
+        found = true;
+        break;
+      }
+      for (EdgeId e : g.out_edges(v)) {
+        if (edge_banned[static_cast<std::size_t>(e)]) continue;
+        const Edge& ed = g.edge(e);
+        const auto u = static_cast<std::size_t>(ed.dst);
+        if (node_banned[u]) continue;
+        const double nd = d + ed.latency;
+        if (nd < dist[u]) {
+          if (dist[u] == kInf) reached.push_back(ed.dst);
+          dist[u] = nd;
+          parent_edge[u] = e;
+          heap.emplace_back(nd, ed.dst);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+        }
       }
     }
+    if (!found) return false;
+    const std::size_t mark = out.size();
+    for (NodeId v = dst; v != src;) {
+      const EdgeId e = parent_edge[static_cast<std::size_t>(v)];
+      out.push_back(e);
+      v = g.edge(e).src;
+    }
+    std::reverse(out.begin() + static_cast<long>(mark), out.end());
+    return true;
   }
-  return res;
-}
+};
 
-std::optional<Path> extract_path(const Graph& g, const SsspResult& sssp, NodeId src,
-                                 NodeId dst) {
-  if (sssp.dist[static_cast<std::size_t>(dst)] == kInf) return std::nullopt;
-  Path p;
-  NodeId v = dst;
-  while (v != src) {
-    EdgeId e = sssp.parent_edge[static_cast<std::size_t>(v)];
-    if (e == kInvalidEdge) return std::nullopt;
-    p.push_back(e);
-    v = g.edge(e).src;
+// Reverse shortest-path tree to one destination over the unmasked graph:
+// h[v] = dist(v -> dst) and v's tree out-edge. Banning nodes and edges only
+// removes paths, so h lower-bounds every spur search's distances.
+struct ReverseTree {
+  NodeId dst = -1;
+  std::vector<double> h;
+  std::vector<EdgeId> next_edge;
+  // next_edge[v] beats every other out-edge f of v by the margin:
+  // latency(f) + h[f.dst] > h[v] + margin.
+  std::vector<char> unique;
+  double margin = 0.0;
+  std::vector<HeapItem> heap;
+
+  void build(const Graph& g, NodeId root, double max_latency) {
+    const auto n = static_cast<std::size_t>(g.num_nodes());
+    dst = root;
+    h.assign(n, kInf);
+    next_edge.assign(n, kInvalidEdge);
+    unique.assign(n, 0);
+    h[static_cast<std::size_t>(root)] = 0.0;
+    heap.assign(1, HeapItem{0.0, root});
+    double h_max = 0.0;
+    while (!heap.empty()) {
+      std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+      const auto [d, v] = heap.back();
+      heap.pop_back();
+      if (d > h[static_cast<std::size_t>(v)]) continue;
+      h_max = d;  // pops ascend
+      for (EdgeId e : g.in_edges(v)) {
+        const Edge& ed = g.edge(e);
+        const auto u = static_cast<std::size_t>(ed.src);
+        const double nd = d + ed.latency;
+        if (nd < h[u]) {
+          h[u] = nd;
+          next_edge[u] = e;
+          heap.emplace_back(nd, ed.src);
+          std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+        }
+      }
+    }
+    // Every spur path the tree answers costs at most max_latency + h_max, so
+    // that bounds the scale of the sums whose rounding the margin must cover;
+    // on graphs big enough for hops * 2^-53 to near kTreeMarginRel the margin
+    // grows with the hop bound instead.
+    const double rel = std::max(kTreeMarginRel, 8.0 * static_cast<double>(n) *
+                                                    std::numeric_limits<double>::epsilon());
+    margin = rel * (h_max + max_latency);
+    for (std::size_t v = 0; v < n; ++v) {
+      if (next_edge[v] == kInvalidEdge) continue;
+      bool ok = true;
+      for (EdgeId f : g.out_edges(static_cast<NodeId>(v))) {
+        if (f == next_edge[v]) continue;
+        const Edge& ed = g.edge(f);
+        if (!(ed.latency + h[static_cast<std::size_t>(ed.dst)] > h[v] + margin)) {
+          ok = false;
+          break;
+        }
+      }
+      unique[v] = ok;
+    }
   }
-  std::reverse(p.begin(), p.end());
-  return p;
-}
+};
 
 }  // namespace
 
-SsspResult dijkstra(const Graph& g, NodeId src) {
-  return dijkstra_impl(g, src, nullptr, nullptr);
-}
+struct YenSearch::State {
+  const Graph& g;
+  double max_latency = 0.0;
+  ForwardSearch fwd;
+  ReverseTree tree;
+  Counts counts;
 
-SsspResult dijkstra_masked(const Graph& g, NodeId src,
-                           const std::vector<char>& node_banned,
-                           const std::vector<char>& edge_banned) {
-  return dijkstra_impl(g, src, &node_banned, &edge_banned);
-}
+  explicit State(const Graph& graph) : g(graph), fwd(graph) {
+    for (const Edge& ed : graph.edges()) max_latency = std::max(max_latency, ed.latency);
+  }
+
+  enum class TreeAnswer { kPath, kUnreachable, kUnsure };
+
+  // Answers the spur search from the reverse tree when the tree path is the
+  // unique shortest unbanned one by more than the margin, so that forward
+  // Dijkstra would return it too; kUnsure otherwise.
+  TreeAnswer tree_answer(NodeId spur, NodeId dst, Path& out) const {
+    const auto& node_banned = fwd.node_banned;
+    const auto& edge_banned = fwd.edge_banned;
+    double best = kInf, second = kInf;
+    EdgeId best_edge = kInvalidEdge;
+    for (EdgeId e : g.out_edges(spur)) {
+      if (edge_banned[static_cast<std::size_t>(e)]) continue;
+      const Edge& ed = g.edge(e);
+      if (node_banned[static_cast<std::size_t>(ed.dst)]) continue;
+      const double c = ed.latency + tree.h[static_cast<std::size_t>(ed.dst)];
+      if (c < best) {
+        second = best;
+        best = c;
+        best_edge = e;
+      } else if (c < second) {
+        second = c;
+      }
+    }
+    if (best == kInf) return TreeAnswer::kUnreachable;  // no unbanned edge leads to dst
+    if (!(second > best + tree.margin)) return TreeAnswer::kUnsure;
+    // Yen bans only edges that leave the spur, so a tree path that avoids the
+    // spur avoids every banned edge too.
+    const std::size_t mark = out.size();
+    out.push_back(best_edge);
+    for (NodeId v = g.edge(best_edge).dst; v != dst;) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (v == spur || node_banned[vi] || !tree.unique[vi]) {
+        out.resize(mark);
+        return TreeAnswer::kUnsure;
+      }
+      out.push_back(tree.next_edge[vi]);
+      v = g.edge(tree.next_edge[vi]).dst;
+    }
+    return TreeAnswer::kPath;
+  }
+
+  // Appends the shortest unbanned spur -> dst path to `out`; false when none.
+  bool spur_path(NodeId spur, NodeId dst, Path& out) {
+    switch (tree_answer(spur, dst, out)) {
+      case TreeAnswer::kPath:
+        ++counts.tree;
+        return true;
+      case TreeAnswer::kUnreachable:
+        ++counts.tree;
+        return false;
+      case TreeAnswer::kUnsure:
+        break;
+    }
+    ++counts.dijkstra;
+    return fwd.run(spur, dst, out);
+  }
+};
+
+YenSearch::YenSearch(const Graph& g) : s_(std::make_unique<State>(g)) {}
+YenSearch::~YenSearch() = default;
+
+YenSearch::Counts YenSearch::counts() const { return s_->counts; }
 
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst) {
+  check_node(g, src);
+  check_node(g, dst);
   if (src == dst) return Path{};
-  auto sssp = dijkstra(g, src);
-  return extract_path(g, sssp, src, dst);
+  ForwardSearch search(g);
+  Path p;
+  if (!search.run(src, dst, p)) return std::nullopt;
+  return p;
 }
 
 double path_latency(const Graph& g, std::span<const EdgeId> p) {
@@ -100,11 +264,20 @@ void validate_path(const Graph& g, std::span<const EdgeId> p, NodeId src, NodeId
 }
 
 std::vector<Path> yen_ksp(const Graph& g, NodeId src, NodeId dst, int k) {
+  return YenSearch(g).yen_ksp(src, dst, k);
+}
+
+std::vector<Path> YenSearch::yen_ksp(NodeId src, NodeId dst, int k) {
+  State& st = *s_;
+  const Graph& g = st.g;
+  check_node(g, src);
+  check_node(g, dst);
   std::vector<Path> result;
   if (k <= 0 || src == dst) return result;
-  auto first = shortest_path(g, src, dst);
-  if (!first) return result;
-  result.push_back(std::move(*first));
+  if (st.tree.dst != dst) st.tree.build(g, dst, st.max_latency);
+  Path first;
+  if (!st.spur_path(src, dst, first)) return result;
+  result.push_back(std::move(first));
 
   struct Candidate {
     double cost;
@@ -118,43 +291,40 @@ std::vector<Path> yen_ksp(const Graph& g, NodeId src, NodeId dst, int k) {
   std::set<Path> seen;  // paths already produced or enqueued
   seen.insert(result[0]);
 
-  std::vector<char> node_banned(static_cast<std::size_t>(g.num_nodes()), 0);
-  std::vector<char> edge_banned(static_cast<std::size_t>(g.num_edges()), 0);
-
+  auto& node_banned = st.fwd.node_banned;
+  auto& edge_banned = st.fwd.edge_banned;
+  std::vector<NodeId> prev_nodes;
+  std::vector<EdgeId> banned_edges;
   while (static_cast<int>(result.size()) < k) {
     const Path& prev = result.back();
     // Node sequence of the previous path: spur nodes are prev[0..len-1].src.
-    std::vector<NodeId> prev_nodes;
-    prev_nodes.push_back(src);
+    prev_nodes.assign(1, src);
     for (EdgeId e : prev) prev_nodes.push_back(g.edge(e).dst);
 
     for (std::size_t i = 0; i < prev.size(); ++i) {
-      NodeId spur = prev_nodes[i];
-      // Root path: prev[0..i)
-      std::fill(node_banned.begin(), node_banned.end(), 0);
-      std::fill(edge_banned.begin(), edge_banned.end(), 0);
+      const NodeId spur = prev_nodes[i];
+      // Root path: prev[0..i). Its nodes except the spur stay banned to keep
+      // paths simple; the set grows by one node per spur.
+      if (i > 0) node_banned[static_cast<std::size_t>(prev_nodes[i - 1])] = 1;
       // Ban edges that would duplicate an already-known path sharing this root.
+      banned_edges.clear();
       for (const Path& p : result) {
-        if (p.size() >= i && std::equal(p.begin(), p.begin() + static_cast<long>(i),
-                                        prev.begin())) {
-          if (p.size() > i) edge_banned[static_cast<std::size_t>(p[i])] = 1;
+        if (p.size() > i && std::equal(p.begin(), p.begin() + static_cast<long>(i),
+                                       prev.begin())) {
+          banned_edges.push_back(p[i]);
+          edge_banned[static_cast<std::size_t>(p[i])] = 1;
         }
       }
-      // Ban root-path nodes (except the spur node) to keep paths simple.
-      for (std::size_t j = 0; j < i; ++j) {
-        node_banned[static_cast<std::size_t>(prev_nodes[j])] = 1;
-      }
-
-      auto sssp = dijkstra_masked(g, spur, node_banned, edge_banned);
-      auto spur_path = extract_path(g, sssp, spur, dst);
-      if (!spur_path) continue;
 
       Path total(prev.begin(), prev.begin() + static_cast<long>(i));
-      total.insert(total.end(), spur_path->begin(), spur_path->end());
+      const bool found = st.spur_path(spur, dst, total);
+      for (EdgeId e : banned_edges) edge_banned[static_cast<std::size_t>(e)] = 0;
+      if (!found) continue;
       if (seen.insert(total).second) {
         candidates.push(Candidate{path_latency(g, total), std::move(total)});
       }
     }
+    for (NodeId v : prev_nodes) node_banned[static_cast<std::size_t>(v)] = 0;
 
     if (candidates.empty()) break;
     result.push_back(candidates.top().path);

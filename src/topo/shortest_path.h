@@ -7,7 +7,9 @@
 // source to destination.
 #pragma once
 
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -20,21 +22,6 @@ using Path = std::vector<EdgeId>;
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Single-source Dijkstra over edge latencies. Returns per-node distance and
-// the incoming edge on the shortest-path tree (kInvalidEdge for unreachable
-// nodes and the source).
-struct SsspResult {
-  std::vector<double> dist;
-  std::vector<EdgeId> parent_edge;
-};
-SsspResult dijkstra(const Graph& g, NodeId src);
-
-// Dijkstra with masked nodes/edges — the spur computation in Yen's algorithm
-// removes root-path nodes and previously used deviation edges.
-SsspResult dijkstra_masked(const Graph& g, NodeId src,
-                           const std::vector<char>& node_banned,
-                           const std::vector<char>& edge_banned);
-
 // Shortest path src -> dst, or nullopt if unreachable.
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst);
 
@@ -42,6 +29,31 @@ std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst);
 // order. Returns fewer than k paths when the graph does not contain k
 // distinct simple paths.
 std::vector<Path> yen_ksp(const Graph& g, NodeId src, NodeId dst, int k);
+
+// Reusable state behind yen_ksp, for one thread: the search scratch, sized
+// to the graph once, and the reverse shortest-path tree of the last
+// destination asked for. Queries grouped by destination share one tree.
+// Every query returns exactly what yen_ksp returns (DESIGN.md, "Path
+// precompute"). The graph must outlive the search and stay unchanged.
+class YenSearch {
+ public:
+  explicit YenSearch(const Graph& g);
+  ~YenSearch();
+
+  std::vector<Path> yen_ksp(NodeId src, NodeId dst, int k);
+
+  // How the shortest-path searches so far were answered: from the reverse
+  // tree, or by an early-exit Dijkstra over the masked graph.
+  struct Counts {
+    std::int64_t tree = 0;
+    std::int64_t dijkstra = 0;
+  };
+  Counts counts() const;
+
+ private:
+  struct State;
+  std::unique_ptr<State> s_;
+};
 
 // Hop-count single-source BFS distances (used for Table 3 statistics, which
 // report hop-based shortest-path length and diameter).

@@ -183,14 +183,27 @@ TEST(Yen, PathsAreSimple) {
 }
 
 // Yen's paths must equal the oracle's, edge for edge and in order, for every
-// ordered node pair (src == dst included).
-void expect_matches_oracle(const topo::Graph& g, int k, const std::string& what) {
+// ordered node pair (src == dst included): from a fresh yen_ksp call, and
+// from one YenSearch reused across all pairs, grouped by destination the way
+// te::Problem runs them. Returns the reused search's counts.
+topo::YenSearch::Counts expect_matches_oracle(const topo::Graph& g, int k,
+                                              const std::string& what) {
+  topo::YenSearch search(g);
   for (topo::NodeId d = 0; d < g.num_nodes(); ++d) {
     for (topo::NodeId s = 0; s < g.num_nodes(); ++s) {
-      EXPECT_EQ(topo::yen_ksp(g, s, d, k), reference::reference_yen_ksp(g, s, d, k))
+      const auto expected = reference::reference_yen_ksp(g, s, d, k);
+      EXPECT_EQ(topo::yen_ksp(g, s, d, k), expected)
           << what << ": " << s << " -> " << d << ", k = " << k;
+      EXPECT_EQ(search.yen_ksp(s, d, k), expected)
+          << what << " (reused search): " << s << " -> " << d << ", k = " << k;
     }
   }
+  return search.counts();
+}
+
+// Ties (or unreachable pairs) must send searches down the Dijkstra fallback.
+void expect_fallback(const topo::YenSearch::Counts& c, const std::string& what) {
+  EXPECT_GT(c.dijkstra, 0) << what;
 }
 
 // n x n grid of unit-latency links: every pair has many equal-latency paths.
@@ -226,31 +239,34 @@ topo::Graph random_tie_graph(int n, int extra, const std::vector<double>& latenc
 
 TEST(YenOracle, UnitGridTies) {
   const auto g = unit_grid(5);
-  expect_matches_oracle(g, 4, "5x5 grid");
+  expect_fallback(expect_matches_oracle(g, 4, "5x5 grid"), "5x5 grid");
   EXPECT_EQ(topo::yen_ksp(g, 0, 24, 8), reference::reference_yen_ksp(g, 0, 24, 8));
 }
 
 TEST(YenOracle, B4AllPairs) {
   // B4's hand-set latencies have exact ties.
   const auto g = topo::make_b4();
-  expect_matches_oracle(g, 4, "B4");
+  expect_fallback(expect_matches_oracle(g, 4, "B4"), "B4");
   expect_matches_oracle(g, 7, "B4");
 }
 
 TEST(YenOracle, SmallIntegerLatenciesWithParallelEdges) {
   for (std::uint32_t seed = 1; seed <= 3; ++seed) {
     const auto g = random_tie_graph(30, 60, {1.0, 2.0, 3.0}, seed);
-    expect_matches_oracle(g, 5, "random {1,2,3} seed " + std::to_string(seed));
+    const std::string what = "random {1,2,3} seed " + std::to_string(seed);
+    expect_fallback(expect_matches_oracle(g, 5, what), what);
   }
 }
 
 TEST(YenOracle, ZeroLatencyEdges) {
   for (std::uint32_t seed = 1; seed <= 3; ++seed) {
     const auto g = random_tie_graph(20, 40, {0.0, 0.0, 1.0, 2.5}, seed);
-    expect_matches_oracle(g, 5, "zero-latency seed " + std::to_string(seed));
+    const std::string what = "zero-latency seed " + std::to_string(seed);
+    expect_fallback(expect_matches_oracle(g, 5, what), what);
   }
   // All-zero latencies: every path ties with every other.
-  expect_matches_oracle(random_tie_graph(12, 20, {0.0}, 9), 4, "all-zero");
+  expect_fallback(expect_matches_oracle(random_tie_graph(12, 20, {0.0}, 9), 4, "all-zero"),
+                  "all-zero");
 }
 
 TEST(YenOracle, UnreachablePairs) {
@@ -266,7 +282,7 @@ TEST(YenOracle, UnreachablePairs) {
   g.add_edge(4, 6, 1.0, 2.5);
   g.add_edge(3, 4, 1.0, 1.0);
   g.add_edge(6, 7, 1.0, 1.0);
-  expect_matches_oracle(g, 4, "one-way chains");
+  expect_fallback(expect_matches_oracle(g, 4, "one-way chains"), "one-way chains");
   EXPECT_TRUE(topo::yen_ksp(g, 7, 0, 4).empty());
   EXPECT_TRUE(topo::yen_ksp(g, 0, 8, 4).empty());
 }
@@ -278,6 +294,36 @@ TEST(YenOracle, KBeyondSimplePathCount) {
   expect_matches_oracle(unit_grid(3), 40, "3x3 grid");
 }
 
+TEST(YenOracle, RoundingNearTie) {
+  // 0.1 + 0.2 + 0.3 sums to 0.6000000000000001 forward but to 0.6 in the
+  // reverse tree's order, so the tree sees the 3-hop path as shorter by one
+  // ulp while forward Dijkstra ties it with the direct edge and keeps the
+  // direct edge it relaxed first. Only the margin stops the tree's answer.
+  topo::Graph g("near-tie");
+  g.add_nodes(4);
+  g.add_edge(0, 1, 1.0, 0.1);
+  g.add_edge(1, 2, 1.0, 0.2);
+  g.add_edge(2, 3, 1.0, 0.3);
+  g.add_edge(0, 3, 1.0, 0.1 + 0.2 + 0.3);
+  expect_fallback(expect_matches_oracle(g, 2, "near-tie"), "near-tie");
+}
+
+TEST(YenOracle, DistinctLatenciesTakeTheTreeShortcut) {
+  // Continuous latencies leave no ties, so most searches resolve from the
+  // reverse tree; the paths must still be the oracle's.
+  const auto g = topo::make_topology("SWAN");
+  topo::YenSearch search(g);
+  for (topo::NodeId d = 0; d < g.num_nodes(); d += 7) {
+    for (topo::NodeId s = 0; s < g.num_nodes(); s += 3) {
+      EXPECT_EQ(search.yen_ksp(s, d, 4), reference::reference_yen_ksp(g, s, d, 4))
+          << "SWAN: " << s << " -> " << d;
+    }
+  }
+  const auto c = search.counts();
+  EXPECT_GT(c.tree, c.dijkstra);
+  expect_fallback(c, "SWAN");
+}
+
 TEST(YenOracle, DegenerateArguments) {
   const auto g = diamond();
   EXPECT_TRUE(topo::yen_ksp(g, 0, 3, 0).empty());
@@ -285,6 +331,11 @@ TEST(YenOracle, DegenerateArguments) {
   EXPECT_TRUE(topo::yen_ksp(g, 2, 2, 4).empty());
   EXPECT_TRUE(reference::reference_yen_ksp(g, 0, 3, 0).empty());
   EXPECT_TRUE(reference::reference_yen_ksp(g, 2, 2, 4).empty());
+  EXPECT_THROW(topo::yen_ksp(g, 0, 4, 4), std::out_of_range);
+  EXPECT_THROW(topo::yen_ksp(g, -1, 3, 4), std::out_of_range);
+  EXPECT_THROW(topo::shortest_path(g, 0, 4), std::out_of_range);
+  // te::Problem surfaces the bad endpoint from its pooled precompute.
+  EXPECT_THROW(te::Problem(g, {{0, 3}, {0, 4}}, 4), std::out_of_range);
 }
 
 // te::Problem precomputes on the pool (run with TEAL_POOL_THREADS=4 to force
