@@ -200,6 +200,18 @@ void BM_KdlProblemPathPrecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_KdlProblemPathPrecompute)->Unit(benchmark::kMillisecond);
 
+// The same on the repo benchmark's ASN instance (seed-1 topology, 6000
+// demands sampled with seed 2): the precompute behind asn-latency's setup_s.
+void BM_AsnProblemPathPrecompute(benchmark::State& state) {
+  const auto g = topo::make_topology("ASN", 1);
+  const auto demands = traffic::sample_demands(g, 6000, 2);
+  for (auto _ : state) {
+    te::Problem pb(g, demands, 4);
+    benchmark::DoNotOptimize(pb.total_paths());
+  }
+}
+BENCHMARK(BM_AsnProblemPathPrecompute)->Unit(benchmark::kMillisecond);
+
 void BM_FeasibilityRepair(benchmark::State& state) {
   auto& f = swan();
   auto sp = f.pb->shortest_path_allocation();

@@ -30,8 +30,12 @@ constexpr double kWaxmanLatencyScale = 10.0;
 
 void CapacityDist::validate() const {
   if (!(lo > 0.0)) throw std::invalid_argument("CapacityDist: lo must be > 0");
-  if (!(hi >= lo)) throw std::invalid_argument("CapacityDist: hi must be >= lo");
-  if (!(sigma >= 0.0)) throw std::invalid_argument("CapacityDist: sigma must be >= 0");
+  if (!(hi >= lo && std::isfinite(hi))) {
+    throw std::invalid_argument("CapacityDist: hi must be finite and >= lo");
+  }
+  if (!(sigma >= 0.0 && std::isfinite(sigma))) {
+    throw std::invalid_argument("CapacityDist: sigma must be finite and >= 0");
+  }
   if (!(hi_fraction >= 0.0 && hi_fraction <= 1.0)) {
     throw std::invalid_argument("CapacityDist: hi_fraction must be in [0, 1]");
   }
@@ -64,8 +68,8 @@ topo::Graph make_waxman(const WaxmanConfig& cfg) {
   if (!(cfg.beta > 0.0 && cfg.beta <= 1.0)) {
     throw std::invalid_argument("make_waxman: beta must be in (0, 1]");
   }
-  if (!(cfg.aspect >= 1.0)) {
-    throw std::invalid_argument("make_waxman: aspect must be >= 1");
+  if (!(cfg.aspect >= 1.0 && std::isfinite(cfg.aspect))) {
+    throw std::invalid_argument("make_waxman: aspect must be finite and >= 1");
   }
   cfg.capacity.validate();
 
@@ -148,6 +152,9 @@ topo::Graph make_power_law(const PowerLawConfig& cfg) {
   }
   if (!(cfg.latency_lo > 0.0 && cfg.latency_hi >= cfg.latency_lo)) {
     throw std::invalid_argument("make_power_law: need 0 < latency_lo <= latency_hi");
+  }
+  if (!std::isfinite(cfg.latency_hi)) {
+    throw std::invalid_argument("make_power_law: latency_hi must be finite");
   }
   cfg.capacity.validate();
 

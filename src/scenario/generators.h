@@ -46,8 +46,8 @@ struct CapacityDist {
   // kBimodal: fraction of links at `hi` (backbone), remainder at `lo`.
   double hi_fraction = 0.2;
 
-  // Throws std::invalid_argument on lo <= 0, hi < lo, sigma < 0, or
-  // hi_fraction outside [0, 1].
+  // Throws std::invalid_argument on lo <= 0, hi < lo, sigma < 0, an
+  // infinite hi or sigma, or hi_fraction outside [0, 1].
   void validate() const;
   double sample(util::CounterRng& rng) const;
 };

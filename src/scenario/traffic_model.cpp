@@ -23,14 +23,14 @@ void GravityTrafficConfig::validate() const {
   if (n_intervals < 1) {
     throw std::invalid_argument("GravityTrafficConfig: n_intervals must be >= 1");
   }
-  if (!(mean_volume > 0.0)) {
-    throw std::invalid_argument("GravityTrafficConfig: mean_volume must be > 0");
+  if (!(mean_volume > 0.0 && std::isfinite(mean_volume))) {
+    throw std::invalid_argument("GravityTrafficConfig: mean_volume must be finite and > 0");
   }
-  if (!(mass_sigma >= 0.0)) {
-    throw std::invalid_argument("GravityTrafficConfig: mass_sigma must be >= 0");
+  if (!(mass_sigma >= 0.0 && std::isfinite(mass_sigma))) {
+    throw std::invalid_argument("GravityTrafficConfig: mass_sigma must be finite and >= 0");
   }
-  if (!(noise_sigma >= 0.0)) {
-    throw std::invalid_argument("GravityTrafficConfig: noise_sigma must be >= 0");
+  if (!(noise_sigma >= 0.0 && std::isfinite(noise_sigma))) {
+    throw std::invalid_argument("GravityTrafficConfig: noise_sigma must be finite and >= 0");
   }
   if (!(diurnal_amplitude >= 0.0 && diurnal_amplitude < 1.0)) {
     throw std::invalid_argument(

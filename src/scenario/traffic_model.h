@@ -62,7 +62,8 @@ struct GravityTrafficConfig {
   DemandShift shift;
 
   // Throws std::invalid_argument on out-of-range values (amplitude outside
-  // [0, 1), nonpositive volumes/periods, bad fractions, ...).
+  // [0, 1), nonpositive or infinite volumes, infinite spreads, nonpositive
+  // periods, bad fractions, ...).
   void validate() const;
 };
 

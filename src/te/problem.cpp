@@ -1,6 +1,7 @@
 #include "te/problem.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -35,23 +36,33 @@ Problem::Problem(topo::Graph g, std::vector<Demand> demands, int k_paths)
 
   // Yen's algorithm per demand on the pool (path precomputation is a one-time
   // cost excluded from the computation-time metric, §5.1). The demands run in
-  // a stable order sorted by destination, one contiguous chunk per thread, so
-  // each chunk's YenSearch builds one reverse tree per destination it meets.
-  // Every result lands at its demand's own index, and a YenSearch returns
-  // exactly what yen_ksp does, so neither the order nor the chunking can
-  // change a path.
+  // a stable order sorted by destination. Each pool thread owns a YenSearch
+  // and claims whole destination groups one at a time off a shared counter,
+  // so it builds one reverse tree per group and no thread idles behind a
+  // slow fixed chunk. Every result lands at its demand's own index, and a
+  // YenSearch returns exactly what yen_ksp does, so neither the order nor
+  // the claiming can change a path.
   std::vector<std::size_t> order(demands.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return demands[a].dst < demands[b].dst;
   });
+  std::vector<std::size_t> group_begin;  // group i is order[group_begin[i], group_begin[i + 1])
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || demands[order[i]].dst != demands[order[i - 1]].dst) group_begin.push_back(i);
+  }
+  const std::size_t n_groups = group_begin.size();
+  group_begin.push_back(order.size());
   std::vector<std::vector<topo::Path>> per_demand(demands.size());
-  util::ThreadPool::global().parallel_chunks(order.size(), [&](std::size_t begin,
-                                                               std::size_t end) {
+  std::atomic<std::size_t> next_group{0};
+  auto& pool = util::ThreadPool::global();
+  pool.parallel_for(std::min(pool.size() + 1, n_groups), [&](std::size_t) {
     topo::YenSearch search(graph_);
-    for (std::size_t i = begin; i < end; ++i) {
-      const Demand& d = demands[order[i]];
-      per_demand[order[i]] = search.yen_ksp(d.src, d.dst, k_paths);
+    for (std::size_t gi; (gi = next_group++) < n_groups;) {
+      for (std::size_t i = group_begin[gi]; i < group_begin[gi + 1]; ++i) {
+        const Demand& d = demands[order[i]];
+        per_demand[order[i]] = search.yen_ksp(d.src, d.dst, k_paths);
+      }
     }
   });
   // The path-edge incidences are int-indexed too (the CSR offsets and ADMM's

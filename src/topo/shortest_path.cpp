@@ -25,8 +25,9 @@ void check_node(const Graph& g, NodeId v) {
 
 // Dijkstra from src over the graph minus the banned nodes and edges that
 // stops when it pops dst: every edge on dst's parent chain is final by then.
-// The scratch is sized to the graph once and reset through the list of
-// nodes the last search reached.
+// Beside it, a reverse reachability search from dst proves a dead end
+// without popping the whole component. The scratch is sized to the graph
+// once and reset through the lists of nodes the last search reached.
 struct ForwardSearch {
   const Graph& g;
   std::vector<double> dist;
@@ -35,13 +36,34 @@ struct ForwardSearch {
   std::vector<HeapItem> heap;
   std::vector<char> node_banned;
   std::vector<char> edge_banned;
+  // The reverse search's seen marks, and the nodes it has seen in the order
+  // it scans them (its queue).
+  std::vector<char> rev_seen;
+  std::vector<NodeId> rev_nodes;
+  std::int64_t dead_ends = 0;  // searches the reverse side ended
 
   explicit ForwardSearch(const Graph& graph)
       : g(graph),
         dist(static_cast<std::size_t>(graph.num_nodes()), kInf),
         parent_edge(static_cast<std::size_t>(graph.num_nodes()), kInvalidEdge),
         node_banned(static_cast<std::size_t>(graph.num_nodes()), 0),
-        edge_banned(static_cast<std::size_t>(graph.num_edges()), 0) {}
+        edge_banned(static_cast<std::size_t>(graph.num_edges()), 0),
+        rev_seen(static_cast<std::size_t>(graph.num_nodes()), 0) {}
+
+  // Scans the unbanned in-edges of w, a node that reaches dst. Returns true
+  // when one starts at a node the forward search has reached: a path then
+  // exists. Otherwise queues the unbanned, unseen tails.
+  bool reverse_step(NodeId w) {
+    for (EdgeId e : g.in_edges(w)) {
+      if (edge_banned[static_cast<std::size_t>(e)]) continue;
+      const auto u = static_cast<std::size_t>(g.edge(e).src);
+      if (dist[u] != kInf) return true;
+      if (node_banned[u] || rev_seen[u]) continue;
+      rev_seen[u] = 1;
+      rev_nodes.push_back(g.edge(e).src);
+    }
+    return false;
+  }
 
   // Appends the shortest src -> dst path (src != dst) to `out` and returns
   // true, or returns false when no unbanned path exists.
@@ -49,9 +71,17 @@ struct ForwardSearch {
     // parent_edge needs no reset: only dst's chain is read, and this search
     // writes every entry on it.
     for (NodeId v : reached) dist[static_cast<std::size_t>(v)] = kInf;
+    for (NodeId v : rev_nodes) rev_seen[static_cast<std::size_t>(v)] = 0;
     reached.assign(1, src);
     heap.assign(1, HeapItem{0.0, src});
     dist[static_cast<std::size_t>(src)] = 0.0;
+    rev_nodes.assign(1, dst);
+    rev_seen[static_cast<std::size_t>(dst)] = 1;
+    // The reverse search scans one node per forward pop until it meets a
+    // forward-reached node. If it runs out of nodes first, src cannot reach
+    // dst (DESIGN.md, "Path precompute"), and neither could this Dijkstra.
+    std::size_t rev_next = 0;
+    bool met = false;
     bool found = false;
     while (!heap.empty()) {
       std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
@@ -75,6 +105,13 @@ struct ForwardSearch {
           heap.emplace_back(nd, ed.dst);
           std::push_heap(heap.begin(), heap.end(), std::greater<>{});
         }
+      }
+      if (!met) {
+        if (rev_next == rev_nodes.size()) {
+          ++dead_ends;
+          return false;
+        }
+        met = reverse_step(rev_nodes[rev_next++]);
       }
     }
     if (!found) return false;
@@ -226,7 +263,11 @@ struct YenSearch::State {
 YenSearch::YenSearch(const Graph& g) : s_(std::make_unique<State>(g)) {}
 YenSearch::~YenSearch() = default;
 
-YenSearch::Counts YenSearch::counts() const { return s_->counts; }
+YenSearch::Counts YenSearch::counts() const {
+  Counts c = s_->counts;
+  c.dead_end = s_->fwd.dead_ends;
+  return c;
+}
 
 std::optional<Path> shortest_path(const Graph& g, NodeId src, NodeId dst) {
   check_node(g, src);

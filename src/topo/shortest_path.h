@@ -43,10 +43,13 @@ class YenSearch {
   std::vector<Path> yen_ksp(NodeId src, NodeId dst, int k);
 
   // How the shortest-path searches so far were answered: from the reverse
-  // tree, or by an early-exit Dijkstra over the masked graph.
+  // tree, or by an early-exit Dijkstra over the masked graph. `dead_end`
+  // counts the Dijkstras that the reverse reachability search ended with no
+  // path.
   struct Counts {
     std::int64_t tree = 0;
     std::int64_t dijkstra = 0;
+    std::int64_t dead_end = 0;
   };
   Counts counts() const;
 

@@ -228,6 +228,45 @@ TEST(ScenarioGenerators, PowerLawInvalidConfigsThrow) {
   EXPECT_THROW(scenario::make_power_law(cfg), std::invalid_argument);
 }
 
+// +inf passes a `>= bound` check that NaN fails; each generator parameter
+// must reject it itself, with a message that names the field.
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+template <typename F>
+void expect_rejected_naming(F&& call, const std::string& field) {
+  try {
+    call();
+    ADD_FAILURE() << field << " = inf must throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(field), std::string::npos) << msg;
+  }
+}
+
+TEST(ScenarioGenerators, CapacityDistRejectsInfiniteHi) {
+  scenario::CapacityDist d;
+  d.hi = kInfinity;
+  expect_rejected_naming([&] { d.validate(); }, "hi");
+}
+
+TEST(ScenarioGenerators, CapacityDistRejectsInfiniteSigma) {
+  scenario::CapacityDist d;
+  d.sigma = kInfinity;
+  expect_rejected_naming([&] { d.validate(); }, "sigma");
+}
+
+TEST(ScenarioGenerators, WaxmanRejectsInfiniteAspect) {
+  scenario::WaxmanConfig cfg;
+  cfg.aspect = kInfinity;
+  expect_rejected_naming([&] { scenario::make_waxman(cfg); }, "aspect");
+}
+
+TEST(ScenarioGenerators, PowerLawRejectsInfiniteLatencyHi) {
+  scenario::PowerLawConfig cfg;
+  cfg.latency_hi = kInfinity;
+  expect_rejected_naming([&] { scenario::make_power_law(cfg); }, "latency_hi");
+}
+
 // ---- Regeneration determinism ----------------------------------------------
 
 TEST(ScenarioGenerators, SameSeedRegeneratesByteIdenticalGraphs) {
@@ -469,6 +508,24 @@ TEST(ScenarioTraffic, ValidateRejectsOutOfRangeConfigs) {
   cfg = {};
   cfg.shift = scenario::DemandShift{0, /*factor=*/0.0, 0.3};
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
+TEST(ScenarioTraffic, ValidateRejectsInfiniteMeanVolume) {
+  scenario::GravityTrafficConfig cfg;
+  cfg.mean_volume = kInfinity;
+  expect_rejected_naming([&] { cfg.validate(); }, "mean_volume");
+}
+
+TEST(ScenarioTraffic, ValidateRejectsInfiniteMassSigma) {
+  scenario::GravityTrafficConfig cfg;
+  cfg.mass_sigma = kInfinity;
+  expect_rejected_naming([&] { cfg.validate(); }, "mass_sigma");
+}
+
+TEST(ScenarioTraffic, ValidateRejectsInfiniteNoiseSigma) {
+  scenario::GravityTrafficConfig cfg;
+  cfg.noise_sigma = kInfinity;
+  expect_rejected_naming([&] { cfg.validate(); }, "noise_sigma");
 }
 
 // ---- Rolling failures -------------------------------------------------------

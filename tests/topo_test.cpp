@@ -3,6 +3,7 @@
 // counts), statistics (Table 3 / Fig 17).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -183,20 +184,27 @@ TEST(Yen, PathsAreSimple) {
 }
 
 // Yen's paths must equal the oracle's, edge for edge and in order, for every
-// ordered node pair (src == dst included): from a fresh yen_ksp call, and
-// from one YenSearch reused across all pairs, grouped by destination the way
-// te::Problem runs them. Returns the reused search's counts.
+// pair in `pairs`, or for every ordered node pair (src == dst included) when
+// it is empty: from a fresh yen_ksp call, and from one YenSearch reused
+// across all pairs, grouped by destination the way te::Problem runs them.
+// Returns the reused search's counts.
 topo::YenSearch::Counts expect_matches_oracle(const topo::Graph& g, int k,
-                                              const std::string& what) {
-  topo::YenSearch search(g);
-  for (topo::NodeId d = 0; d < g.num_nodes(); ++d) {
-    for (topo::NodeId s = 0; s < g.num_nodes(); ++s) {
-      const auto expected = reference::reference_yen_ksp(g, s, d, k);
-      EXPECT_EQ(topo::yen_ksp(g, s, d, k), expected)
-          << what << ": " << s << " -> " << d << ", k = " << k;
-      EXPECT_EQ(search.yen_ksp(s, d, k), expected)
-          << what << " (reused search): " << s << " -> " << d << ", k = " << k;
+                                              const std::string& what,
+                                              std::vector<te::Demand> pairs = {}) {
+  if (pairs.empty()) {
+    for (topo::NodeId d = 0; d < g.num_nodes(); ++d) {
+      for (topo::NodeId s = 0; s < g.num_nodes(); ++s) pairs.push_back({s, d});
     }
+  }
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [](const te::Demand& a, const te::Demand& b) { return a.dst < b.dst; });
+  topo::YenSearch search(g);
+  for (const auto& [s, d] : pairs) {
+    const auto expected = reference::reference_yen_ksp(g, s, d, k);
+    EXPECT_EQ(topo::yen_ksp(g, s, d, k), expected)
+        << what << ": " << s << " -> " << d << ", k = " << k;
+    EXPECT_EQ(search.yen_ksp(s, d, k), expected)
+        << what << " (reused search): " << s << " -> " << d << ", k = " << k;
   }
   return search.counts();
 }
@@ -322,6 +330,95 @@ TEST(YenOracle, DistinctLatenciesTakeTheTreeShortcut) {
   const auto c = search.counts();
   EXPECT_GT(c.tree, c.dijkstra);
   expect_fallback(c, "SWAN");
+}
+
+// The reverse reachability search must end dead-end spur searches, and only
+// those. Hub-and-stub: five meshed hubs with four single-link stubs each.
+// Once a root path passes a stub destination's hub, the stub is cut off, and
+// only the reverse side sees it before the forward side pops the whole mesh.
+TEST(YenOracle, HubAndStubDeadEnds) {
+  topo::Graph g("hub-stub");
+  const int hubs = 5, stubs = 4;
+  g.add_nodes(hubs * (stubs + 1));
+  for (int a = 0; a < hubs; ++a) {
+    for (int b = a + 1; b < hubs; ++b) g.add_link(a, b, 1.0, 1.0 + 0.13 * a + 0.07 * b);
+    for (int s = 0; s < stubs; ++s) g.add_link(a, hubs + a * stubs + s, 1.0, 0.5 + 0.11 * s);
+  }
+  for (int k : {4, 7}) {
+    const std::string what = "hub-and-stub k = " + std::to_string(k);
+    const auto c = expect_matches_oracle(g, k, what);
+    EXPECT_GT(c.dead_end, 0) << what;
+  }
+}
+
+// Pockets: triangles hung between neighbouring ring nodes. A spur inside a
+// pocket whose exits are banned runs out of nodes on the forward side while
+// the reverse side is still walking the ring.
+TEST(YenOracle, SpurInASmallPocket) {
+  topo::Graph g("pockets");
+  const int ring = 16;
+  g.add_nodes(ring);
+  for (int v = 0; v < ring; ++v) g.add_link(v, (v + 1) % ring, 1.0, 1.0 + 0.1 * (v % 3));
+  for (int r = 0; r < ring; r += 4) {
+    const topo::NodeId a = g.num_nodes();
+    g.add_nodes(3);
+    g.add_link(r, a, 1.0, 0.4);
+    g.add_link(a, a + 1, 1.0, 0.3);
+    g.add_link(a + 1, a + 2, 1.0, 0.35);
+    g.add_link(a + 2, a, 1.0, 0.45);
+    g.add_link(a + 2, r + 1, 1.0, 0.5);
+  }
+  expect_fallback(expect_matches_oracle(g, 7, "pockets"), "pockets");
+}
+
+// One-way edges: what reaches dst (the reverse side) is not what dst reaches,
+// so a reverse search that walked out-edges would prove wrong dead ends.
+TEST(YenOracle, DirectedOneWayEdges) {
+  for (std::uint32_t seed = 1; seed <= 3; ++seed) {
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> latency(0.5, 3.0);
+    const int n = 24;
+    topo::Graph g("one-way");
+    g.add_nodes(n);
+    for (int v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1, 1.0, latency(rng));
+    for (int i = 0; i < 40; ++i) {
+      const auto a = static_cast<topo::NodeId>(rng() % n);
+      const auto b = static_cast<topo::NodeId>(rng() % n);
+      if (a != b) g.add_edge(a, b, 1.0, latency(rng));
+    }
+    const std::string what = "one-way seed " + std::to_string(seed);
+    expect_fallback(expect_matches_oracle(g, 5, what), what);
+  }
+}
+
+// The spur's only route to dst starts with an edge Yen banned: the second
+// path's spur at 1 may not take 1 -> 2 again, and its other out-edge leads
+// into a loop back to the spur. The reverse side ends the search from 2:
+// 1 -> 2 is banned and 3 is reached only from the banned root node 0.
+TEST(YenOracle, OnlyRouteStartsWithABannedEdge) {
+  topo::Graph g("banned-route");
+  g.add_nodes(8);
+  g.add_edge(0, 1, 1.0, 1.0);
+  g.add_edge(1, 2, 1.0, 1.0);
+  g.add_edge(0, 3, 1.0, 1.0);
+  g.add_edge(3, 2, 1.0, 2.5);
+  g.add_edge(1, 4, 1.0, 0.1);
+  g.add_edge(4, 5, 1.0, 0.1);
+  g.add_edge(5, 6, 1.0, 0.1);
+  g.add_edge(6, 7, 1.0, 0.1);
+  g.add_edge(7, 1, 1.0, 0.1);
+  topo::YenSearch search(g);
+  const auto paths = search.yen_ksp(0, 2, 3);
+  EXPECT_EQ(paths, reference::reference_yen_ksp(g, 0, 2, 3));
+  EXPECT_EQ(paths.size(), 2u);
+  EXPECT_EQ(search.counts().dead_end, 1);
+  expect_matches_oracle(g, 4, "banned route");
+}
+
+TEST(YenOracle, AsnDemands) {
+  const auto g = topo::make_topology("ASN");
+  const auto c = expect_matches_oracle(g, 4, "ASN", traffic::sample_demands(g, 300, /*seed=*/5));
+  EXPECT_GT(c.dead_end, 0);
 }
 
 TEST(YenOracle, DegenerateArguments) {
