@@ -138,48 +138,25 @@ te::BatchSolve TealScheme::solve_batch(const te::Problem& pb,
     return te::Scheme::solve_batch(pb, tms);
   }
   // Across-matrix fan-out: contiguous chunks, one persistent workspace per
-  // chunk; the calling thread works chunk 0 with the scheme's own workspace
-  // while the pool workers take the rest. Every solve runs with one shard
-  // and inline kernels — the batch already owns all the threads, so
-  // intra-solve fan-out would only oversubscribe.
+  // chunk (chunk 0 uses the scheme's own, chunk c uses batch_ws_[c - 1]),
+  // one fork-join region iteration per chunk. Every solve runs with one
+  // shard and inline kernels — a region chunk runs nested regions inline,
+  // and the batch already owns all the threads. The region rethrows the
+  // first chunk error only after every chunk finished, so no solve is still
+  // writing into `out` when it unwinds.
   util::Timer wall;
   te::BatchSolve out;
   out.allocs.resize(tms.size());
   out.solve_seconds.resize(tms.size());
   const util::ChunkPlan plan = util::chunk_plan(tms.size(), n_threads);
   if (batch_ws_.size() + 1 < plan.n_chunks) batch_ws_.resize(plan.n_chunks - 1);
-  std::vector<std::future<void>> futs;
-  futs.reserve(plan.n_chunks - 1);
-  for (std::size_t c = 1; c < plan.n_chunks; ++c) {
-    const std::size_t begin = c * plan.chunk;
-    const std::size_t end = std::min(tms.size(), begin + plan.chunk);
-    futs.push_back(pool.submit([this, &pb, tms, &out, c, begin, end] {
-      for (std::size_t t = begin; t < end; ++t) {
-        solve_with(batch_ws_[c - 1], pb, tms[t], out.allocs[t], &out.solve_seconds[t],
-                   /*shard_count=*/1);
-      }
-    }));
-  }
-  // Every future must be joined before `out` can unwind — a still-running
-  // worker writes into it. Collect the first error and rethrow after.
-  std::exception_ptr error;
-  try {
-    util::ThreadPool::ScopedInline inline_kernels;  // chunk 0 stays on this thread
-    for (std::size_t t = 0; t < std::min(tms.size(), plan.chunk); ++t) {
-      solve_with(ws_, pb, tms[t], out.allocs[t], &out.solve_seconds[t],
-                 /*shard_count=*/1);
+  pool.parallel_for(plan.n_chunks, [&](std::size_t c) {
+    SolveWorkspace& ws = c == 0 ? ws_ : batch_ws_[c - 1];
+    const std::size_t end = std::min(tms.size(), (c + 1) * plan.chunk);
+    for (std::size_t t = c * plan.chunk; t < end; ++t) {
+      solve_with(ws, pb, tms[t], out.allocs[t], &out.solve_seconds[t], /*shard_count=*/1);
     }
-  } catch (...) {
-    error = std::current_exception();
-  }
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
+  });
   // Keep the documented last_solve_seconds() semantics ("the batch's final
   // solve"), matching the sequential loop.
   if (!out.solve_seconds.empty()) last_seconds_ = out.solve_seconds.back();
@@ -199,15 +176,9 @@ void train_or_load_model(Model& model, const te::Problem& pb, const traffic::Tra
                          te::Objective objective, const TealTrainOptions& opts) {
   if (!opts.cache_path.empty() && model.load(opts.cache_path)) return;
   if (opts.trainer == Trainer::kComaStar) {
-    ComaConfig cfg = opts.coma;
-    if (opts.workers >= 0) cfg.workers = opts.workers;
-    if (opts.rollout_batch > 0) cfg.rollout_batch = opts.rollout_batch;
-    train_coma(model, pb, train, objective, cfg);
+    train_coma(model, pb, train, objective, opts.coma);
   } else {
-    DirectLossConfig cfg = opts.direct;
-    if (opts.workers >= 0) cfg.workers = opts.workers;
-    if (opts.rollout_batch > 0) cfg.rollout_batch = opts.rollout_batch;
-    train_direct_loss(model, pb, train, objective, cfg);
+    train_direct_loss(model, pb, train, objective, opts.direct);
   }
   if (!opts.cache_path.empty()) {
     model.save(opts.cache_path);

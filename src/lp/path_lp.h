@@ -34,7 +34,7 @@ struct FlowLpInfo {
   double objective = 0.0;   // feasible primal objective (weighted flow)
   double dual_bound = 0.0;
   int iterations = 0;
-  bool converged = false;
+  bool converged = false;   // duality gap closed (PdhgResult::converged)
 };
 
 // Solves the (restricted) max-weighted-flow LP; splits of demands outside the

@@ -181,14 +181,14 @@ PdhgResult pdhg_packing(const SparseMatrix& a, const std::vector<double>& b,
         res.converged = true;
         break;
       }
-      // Primal-stall termination.
+      // Primal-stall termination. Not convergence: the dual bound may still
+      // be far above the primal value, so `converged` stays false.
       primal_history.push_back(best_primal);
       if (opt.stall_checks > 0 &&
           static_cast<int>(primal_history.size()) > opt.stall_checks) {
         double past = primal_history[primal_history.size() -
                                      static_cast<std::size_t>(opt.stall_checks) - 1];
         if (best_primal - past <= opt.stall_rel * std::max(1.0, std::abs(best_primal))) {
-          res.converged = true;
           break;
         }
       }

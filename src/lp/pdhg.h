@@ -9,7 +9,8 @@
 // grows with problem size and conditioning, executed on a single thread —
 // which is precisely the scaling bottleneck Teal attacks (§2.1, Figure 2).
 // Its per-iteration cost is O(nnz); it terminates when a feasibility-repaired
-// primal iterate and the running dual bound close to within `rel_gap_tol`.
+// primal iterate and the running dual bound close to within `rel_gap_tol`
+// (converged), when the primal value stalls, or at `max_iterations`.
 //
 // The updates follow Pock & Chambolle (2011) diagonal preconditioning:
 //   x <- clamp(x + T (c - Aᵀ y), 0, u)
@@ -30,12 +31,15 @@ struct PdhgOptions {
   double step_scale = 1.0;     // multiplies both step sizes (keep <= 1)
   // Primal-stall termination (how commercial engines stop in practice): quit
   // when the best feasible primal value improved by less than stall_rel
-  // (relative) over the last stall_checks gap checks. 0 checks disables.
+  // (relative) over the last stall_checks gap checks. 0 checks disables. A
+  // stall stop is not convergence: the dual bound there can be vacuous.
   double stall_rel = 3e-4;
   int stall_checks = 8;
 };
 
 struct PdhgResult {
+  // True only when the duality gap closed to within rel_gap_tol; false on a
+  // primal-stall stop or when max_iterations ran out.
   bool converged = false;
   double objective = 0.0;          // of the repaired (feasible) primal point
   double dual_bound = 0.0;         // best dual upper bound observed

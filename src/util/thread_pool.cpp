@@ -10,17 +10,15 @@
 namespace teal::util {
 
 namespace {
-thread_local bool t_in_pool_worker = false;
 // True while this thread — worker *or* region caller — is executing a region
-// chunk; nested parallel calls from inside a chunk must run inline.
+// chunk; nested parallel calls from inside a chunk must run inline. Workers
+// run nothing but region chunks, so this also covers every pool worker.
 thread_local bool t_in_region_chunk = false;
 // True inside a ScopedInline scope (serving replica threads).
 thread_local bool t_inline_scope = false;
 }  // namespace
 
-bool ThreadPool::in_pool_worker() {
-  return t_in_pool_worker || t_in_region_chunk || t_inline_scope;
-}
+bool ThreadPool::in_pool_worker() { return t_in_region_chunk || t_inline_scope; }
 
 std::size_t ThreadPool::available_parallelism() {
   if (in_pool_worker()) return 1;
@@ -53,29 +51,15 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::worker_loop(std::size_t index) {
   set_current_thread_name("teal-pool", index);
-  t_in_pool_worker = true;
   for (;;) {
-    std::function<void()> task;
-    bool region = false;
     {
       std::unique_lock lock(mu_);
       cv_.wait(lock, [this] {
-        return stop_ || !tasks_.empty() ||
-               (region_thunk_ != nullptr && region_next_ < region_n_chunks_);
+        return stop_ || (region_thunk_ != nullptr && region_next_ < region_n_chunks_);
       });
-      if (stop_ && tasks_.empty()) return;
-      if (!tasks_.empty()) {
-        task = std::move(tasks_.front());
-        tasks_.pop();
-      } else {
-        region = true;
-      }
+      if (stop_) return;
     }
-    if (region) {
-      work_on_region();
-    } else {
-      task();
-    }
+    work_on_region();
   }
 }
 
@@ -99,8 +83,8 @@ void ThreadPool::work_on_region() {
       thunk(ctx, begin, end);
     } catch (...) {
       // Record the first chunk exception for run_region to rethrow at the
-      // calling thread (matching the old futures-based propagation); the
-      // erroring thread stops claiming, remaining chunks run normally.
+      // calling thread once every chunk finished; the erroring thread stops
+      // claiming, remaining chunks run normally.
       error = std::current_exception();
     }
     t_in_region_chunk = false;

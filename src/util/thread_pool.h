@@ -9,27 +9,25 @@
 // solver runs single-threaded, exactly like the paper's Gurobi baseline
 // (which gains only marginal speedup from extra threads, Figure 2).
 //
-// Two execution paths:
-//  * submit() — queue an arbitrary task, get a future. Used for coarse work
-//    like fanning a solve_batch() out across per-worker workspaces.
-//  * parallel_for()/parallel_chunks() — a fork-join region. The calling
-//    thread and the workers claim contiguous chunks off a shared counter; no
-//    std::function conversion, no futures, no per-call heap allocation, so
-//    the workspace-based solve path stays allocation-free end to end.
+// One execution path: parallel_for()/parallel_chunks() open a fork-join
+// region. The calling thread and the workers claim contiguous chunks off a
+// shared counter; no std::function conversion, no futures, no per-call heap
+// allocation, so the workspace-based solve path stays allocation-free end to
+// end. Coarse fan-out (solve_batch() across traffic matrices, training
+// rollouts) runs on the same region as the dense kernels.
 //
-// Nesting: a parallel region entered from inside a pool worker runs inline
-// (sequentially) on that worker. That is exactly the shape solve_batch()
+// Nesting: a parallel region entered from inside a region chunk runs inline
+// (sequentially) on that thread. That is exactly the shape solve_batch()
 // wants — outer parallelism across traffic matrices, inner kernels
-// sequential per worker — and it makes nested use deadlock-free.
+// sequential per chunk — and it makes nested use deadlock-free. Regions
+// started by different external threads are serialized: the second caller
+// waits until the running region finished.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <functional>
-#include <future>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -37,9 +35,11 @@
 namespace teal::util {
 
 // Contiguous-chunk division of n items over at most n_threads threads:
-// ceil-div chunk size, chunk count recomputed so no chunk is empty. Shared
-// by the pool's fork-join region and by callers (TealScheme::solve_batch)
-// that must size per-chunk state consistently with the pool's policy.
+// ceil-div chunk size, chunk count recomputed so no chunk is empty. The
+// pool's fork-join region splits its range with it; callers that keep
+// per-chunk state (TealScheme::solve_batch's workspaces, TrainContext's
+// rollout slots) size that state with the same plan and then open a region
+// over plan.n_chunks, one iteration per chunk.
 struct ChunkPlan {
   std::size_t chunk = 0;     // items per chunk
   std::size_t n_chunks = 0;  // number of non-empty chunks
@@ -77,9 +77,9 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  // True when the calling thread is one of this process's pool workers, is
-  // currently executing a fork-join region chunk (the region caller
-  // participates in its own region), or is inside a ScopedInline scope.
+  // True when the calling thread is executing a fork-join region chunk
+  // (pool workers only ever run region chunks; the region caller
+  // participates in its own region) or is inside a ScopedInline scope.
   // solve_batch() and parallel_chunks() use it to fall back to inline
   // execution instead of deadlocking on nested fan-out.
   static bool in_pool_worker();
@@ -97,11 +97,10 @@ class ThreadPool {
   // (sequentially, on this thread) instead of fanning out to the pool.
   // Sequential serving replicas hold one per solve (serve/replica.h; a
   // sharded replica deliberately leaves it off so its demand shards can
-  // reach the pool), and solve_batch's caller chunk holds one while the
-  // workers own the other matrices: wherever the outer parallelism already
-  // covers the machine, inner kernels must stay per-thread-sequential — the
-  // same shape pool workers get implicitly. Nests; restores the previous
-  // state on exit.
+  // reach the pool): wherever the outer parallelism already covers the
+  // machine, inner kernels must stay per-thread-sequential — the same shape
+  // region chunks get implicitly. Nests; restores the previous state on
+  // exit.
   class ScopedInline {
    public:
     ScopedInline();
@@ -112,32 +111,6 @@ class ThreadPool {
    private:
     bool prev_;
   };
-
-  // Enqueues an arbitrary task; returns a future for its result. Must be
-  // called from a thread that does not already hold a pool slot: a worker
-  // (or inline-scoped thread) that submits and waits can deadlock on
-  // itself, and fire-and-forget submits from inside a fan-out silently
-  // oversubscribe the pool. Throws std::logic_error instead — callers that
-  // might run on a worker check in_pool_worker() first and fall back to
-  // inline execution (TealScheme::solve_batch does exactly this).
-  template <typename F>
-  auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    if (in_pool_worker()) {
-      throw std::logic_error(
-          "ThreadPool::submit: calling thread already holds a pool slot "
-          "(worker, region chunk, or ScopedInline scope); run the work "
-          "inline instead of nesting fan-out");
-    }
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard lock(mu_);
-      tasks_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
-  }
 
   // Runs `fn(i)` for i in [0, n) across the pool and blocks until all
   // iterations complete. Work is divided into contiguous chunks, one per
@@ -185,7 +158,6 @@ class ThreadPool {
   void work_on_region();
 
   std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> tasks_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

@@ -8,13 +8,16 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/model.h"
 #include "reference_solve.h"
 #include "core/teal_scheme.h"
 #include "topo/topology.h"
 #include "traffic/traffic.h"
+#include "util/thread_pool.h"
 
 namespace teal {
 namespace {
@@ -228,6 +231,32 @@ TEST(MaskGuard, SchemeSolveRejectsFullyMaskedDemand) {
       pb, std::make_unique<ZeroMaskModel>(core::TealModelConfig{}, pb.k_paths(), 5),
       core::TealSchemeConfig{});
   EXPECT_THROW(scheme.solve(pb, tiny_tm()), std::logic_error);
+
+  // The same throw from inside solve_batch's fan-out: with two matrices per
+  // region chunk every chunk throws, and the error must leave the fan-out at
+  // this thread once every chunk finished.
+  const std::size_t n = 2 * (util::ThreadPool::global().size() + 1);
+  std::vector<te::TrafficMatrix> tms(n, tiny_tm());
+  for (std::size_t t = 0; t < n; ++t) {
+    for (double& v : tms[t].volume) v *= 1.0 + 0.25 * static_cast<double>(t);
+  }
+  EXPECT_THROW(scheme.solve_batch(pb, std::span(tms)), std::logic_error);
+
+  // The pool is usable afterwards: a healthy scheme's batch still matches
+  // its sequential solve loop byte for byte.
+  core::TealScheme healthy(
+      pb, std::make_unique<core::TealModel>(core::TealModelConfig{}, pb.k_paths(), 5),
+      core::TealSchemeConfig{});
+  const te::BatchSolve batch = healthy.solve_batch(pb, std::span(tms));
+  ASSERT_EQ(batch.allocs.size(), n);
+  for (std::size_t t = 0; t < n; ++t) {
+    const te::Allocation ref = healthy.solve(pb, tms[t]);
+    ASSERT_EQ(batch.allocs[t].split.size(), ref.split.size());
+    EXPECT_EQ(std::memcmp(batch.allocs[t].split.data(), ref.split.data(),
+                          ref.split.size() * sizeof(double)),
+              0)
+        << "matrix " << t;
+  }
 }
 
 TEST(MaskGuard, ValidModelSolvesClean) {

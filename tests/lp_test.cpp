@@ -115,6 +115,44 @@ TEST(Pdhg, WarmStartConverges) {
   EXPECT_NEAR(res.objective, 1.0, 1e-2);
 }
 
+TEST(Pdhg, ConvergedMeansTheGapClosed) {
+  util::Rng rng(5);
+  const int m = 12, n = 20;
+  std::vector<lp::Triplet> trips;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (rng.uniform() < 0.4) trips.push_back({i, j, rng.uniform(0.1, 2.0)});
+    }
+  }
+  std::vector<double> b(m), c(n), u(n, 10.0);
+  for (auto& bi : b) bi = rng.uniform(1.0, 5.0);
+  for (auto& cj : c) cj = rng.uniform(0.1, 1.0);
+  lp::SparseMatrix a(m, n, trips);
+
+  // A gap tolerance no iterate can meet and a stall test that fires at the
+  // first chance: the solver stops on the stall, well before max_iterations,
+  // with the gap still open — that is not convergence.
+  lp::PdhgOptions stall;
+  stall.rel_gap_tol = 0.0;
+  stall.check_every = 5;
+  stall.stall_checks = 1;
+  stall.stall_rel = 1.0;
+  auto stalled = lp::pdhg_packing(a, b, c, u, stall);
+  EXPECT_EQ(stalled.iterations, 2 * stall.check_every);
+  EXPECT_GT(stalled.dual_bound, stalled.objective);
+  EXPECT_FALSE(stalled.converged);
+
+  // Stall stop disabled: the only way out short of max_iterations is the
+  // gap closing, and that run reports converged.
+  lp::PdhgOptions gap;
+  gap.stall_checks = 0;
+  auto closed = lp::pdhg_packing(a, b, c, u, gap);
+  EXPECT_LT(closed.iterations, gap.max_iterations);
+  EXPECT_LE(closed.dual_bound - closed.objective,
+            gap.rel_gap_tol * std::max(1.0, std::abs(closed.dual_bound)));
+  EXPECT_TRUE(closed.converged);
+}
+
 te::Problem b4_problem() {
   auto g = topo::make_b4();
   return te::Problem(std::move(g), te::all_pairs_demands(topo::make_b4()), 4);

@@ -264,24 +264,11 @@ TEST(PoolComposition, NestedParallelChunksRunsInline) {
   EXPECT_TRUE(nested_inline.load());
 }
 
-TEST(PoolComposition, SubmitFromPoolSlotThrows) {
-  auto& pool = util::ThreadPool::global();
-  // From a worker running a submitted task.
-  auto fut = pool.submit([&pool] {
-    bool threw = false;
-    try {
-      pool.submit([] {});
-    } catch (const std::logic_error&) {
-      threw = true;
-    }
-    return threw;
-  });
-  EXPECT_TRUE(fut.get()) << "submit from a pool worker must throw";
-  // From an inline scope (a serving replica's shape).
+TEST(PoolComposition, ScopedInlineHoldsPoolSlot) {
+  // An inline scope (a serving replica's shape) holds a pool slot.
   {
     util::ThreadPool::ScopedInline inline_scope;
     EXPECT_TRUE(util::ThreadPool::in_pool_worker());
-    EXPECT_THROW(pool.submit([] {}), std::logic_error);
     EXPECT_EQ(util::ThreadPool::available_parallelism(), 1u);
   }
   // Restored outside the scope.
@@ -294,8 +281,8 @@ TEST(PoolComposition, SolveBatchFromPoolSlotFallsBackSequentially) {
   auto scheme = make_teal(s.pb);
   auto reference = scheme.solve_batch(s.pb, std::span(s.trace.matrices));
   // solve_batch invoked while this thread holds a pool slot must neither
-  // deadlock nor submit (which now throws) — it falls back to the
-  // sequential loop, and sharded stages run inline.
+  // deadlock nor open a nested fan-out — it falls back to the sequential
+  // loop, and sharded stages run inline.
   util::ThreadPool::ScopedInline inline_scope;
   scheme.set_shard_count(4);
   auto nested = scheme.solve_batch(s.pb, std::span(s.trace.matrices));

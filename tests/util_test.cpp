@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
+#include <thread>
 
 #include "util/alloc_hook.h"
 #include "util/arena.h"
@@ -38,10 +41,31 @@ TEST(ThreadPool, ChunksCoverRangeExactlyOnce) {
   EXPECT_EQ(sum.load(), 12345LL * 12344 / 2);
 }
 
-TEST(ThreadPool, SubmitReturnsValue) {
-  util::ThreadPool pool(2);
-  auto fut = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(fut.get(), 42);
+TEST(ThreadPool, RegionRethrowsChunkErrorAfterEveryChunkRan) {
+  util::ThreadPool pool(4);
+  // Five chunks of one index (four workers + the caller). Chunk 2 throws at
+  // once; the others finish later, so a rethrow before the join would see
+  // fewer than four of them done.
+  std::atomic<int> finished{0};
+  bool caught = false;
+  try {
+    pool.parallel_chunks(5, [&](std::size_t b, std::size_t e) {
+      ASSERT_EQ(e, b + 1);
+      if (b == 2) throw std::runtime_error("chunk 2");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      finished.fetch_add(1);
+    });
+  } catch (const std::runtime_error& err) {
+    caught = true;
+    EXPECT_STREQ(err.what(), "chunk 2");
+    EXPECT_EQ(finished.load(), 4);
+  }
+  EXPECT_TRUE(caught);
+  EXPECT_FALSE(util::ThreadPool::in_pool_worker());
+  // The pool runs the next region normally.
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ZeroAndOneElementRanges) {
