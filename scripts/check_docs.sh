@@ -72,12 +72,6 @@ if [ -f EXPERIMENTS.md ] && ! grep -q 'Training scaling ledger' EXPERIMENTS.md; 
   fail=1
 fi
 
-if [ -f EXPERIMENTS.md ] && ! grep -q 'Cold-start ledger' EXPERIMENTS.md; then
-  echo "ERROR: EXPERIMENTS.md lost the 'Cold-start ledger' section" \
-       "that bench_cold_start inserts into"
-  fail=1
-fi
-
 if [ -f EXPERIMENTS.md ] && ! grep -q 'Fleet serving ledger' EXPERIMENTS.md; then
   echo "ERROR: EXPERIMENTS.md lost the 'Fleet serving ledger' section" \
        "that bench_fleet_serving inserts into"

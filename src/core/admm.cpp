@@ -14,7 +14,7 @@ namespace {
 // Sizes a buffer whose every entry the caller writes before reading. Under
 // TEAL_DEBUG_MAT it is poison-filled like nn::BasicMat::resize, so an entry
 // read before it is written turns the result NaN and fails the suite.
-void resize_unspecified(util::AVec<double>& v, std::size_t n) {
+void resize_unspecified(std::vector<double>& v, std::size_t n) {
   v.resize(n);
 #ifdef TEAL_DEBUG_MAT
   std::fill(v.begin(), v.end(), std::numeric_limits<double>::signaling_NaN());
@@ -103,7 +103,7 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
   // edge adds its terms in ascending path order, as the reference
   // (tests/reference_solve.h) does. It reduces across demands, so it runs on
   // the calling thread and is bit-identical for every shard plan.
-  auto scatter = [&](util::AVec<double>& acc, auto term) {
+  auto scatter = [&](std::vector<double>& acc, auto term) {
     std::fill(acc.begin(), acc.end(), 0.0);
     for (int p = 0; p < np; ++p) {
       const auto ps = static_cast<std::size_t>(p);
@@ -116,7 +116,7 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
   // Total constraint violation of the current x (whose flow is current):
   // demand overshoot plus per-edge load over capacity. The per-edge loads
   // are left in `load`.
-  auto violation = [&](util::AVec<double>& load) {
+  auto violation = [&](std::vector<double>& load) {
     double v = 0.0;
     for (int d = 0; d < nd; ++d) {
       double sum = 0.0;

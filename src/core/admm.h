@@ -25,7 +25,6 @@
 
 #include "core/shard.h"
 #include "te/problem.h"
-#include "util/arena.h"
 
 namespace teal::core {
 
@@ -59,20 +58,18 @@ class Admm {
   // fine_tune() calls reuses every buffer (allocation-free once warm); every
   // entry is fully re-initialized per call, so reuse never changes results.
   // Distinct Workspaces make concurrent fine_tune() calls on one Admm safe.
-  // Buffers are arena-aware (util::AVec): a workspace sized under a bound
-  // util::Arena draws all fifteen from the arena in one cold pass. There is
-  // no per-incidence z: z is never carried across iterations, so the path
-  // pass recomputes it from the path's flow and l4 and its edge's offset
-  // and S.
+  // There is no per-incidence z: z is never carried across iterations, so
+  // the path pass recomputes it from the path's flow and l4 and its edge's
+  // offset and S.
   struct Workspace {
-    util::AVec<double> vol, cap;           // normalized volumes/capacities
-    util::AVec<double> x, x_sum;           // split ratios and per-demand sums
-    util::AVec<double> l4;                 // per-incidence multipliers (Problem's numbering)
-    util::AVec<double> flow;               // per-path flow x * vol
-    util::AVec<double> sum_l4, sum_z;      // per-path sums of l4 / z over its edges
-    util::AVec<double> z_sum;              // per-edge sum of z
-    util::AVec<double> offset, shift;      // per-edge z-update terms: offset, S (sum of a_p first)
-    util::AVec<double> s1, l1, s3, l3;     // slacks and multipliers
+    std::vector<double> vol, cap;          // normalized volumes/capacities
+    std::vector<double> x, x_sum;          // split ratios and per-demand sums
+    std::vector<double> l4;                // per-incidence multipliers (Problem's numbering)
+    std::vector<double> flow;              // per-path flow x * vol
+    std::vector<double> sum_l4, sum_z;     // per-path sums of l4 / z over its edges
+    std::vector<double> z_sum;             // per-edge sum of z
+    std::vector<double> offset, shift;     // per-edge z-update terms: offset, S (sum of a_p first)
+    std::vector<double> s1, l1, s3, l3;    // slacks and multipliers
   };
 
   // Auto demand-shard plan (core::auto_shard_count).

@@ -70,9 +70,7 @@ class FlowGnn {
       nn::BasicMat<T> dnn_in, dnn_pre;     // per-demand concat (D x k*d) and pre-act
       nn::BasicMat<T> path_out;            // paths after the DNN layer (N_p x d)
     };
-    // Arena-aware like the Mats inside: a cold forward under a bound
-    // util::Arena grows the whole block list out of the arena.
-    util::AVec<Block> blocks;
+    std::vector<Block> blocks;
     nn::BasicMat<T> edge_feat0, path_feat0;  // initial 1-dim features (for widening)
     nn::BasicMat<T> final_paths;             // (N_p x n_blocks) final path embeddings
 

@@ -35,8 +35,8 @@ class PolicyNet {
   template <typename T>
   struct ForwardT {
     nn::BasicMat<T> input;              // (D, in_dim)
-    util::AVec<nn::BasicMat<T>> pre;    // hidden pre-activations
-    util::AVec<nn::BasicMat<T>> act;    // hidden activations
+    std::vector<nn::BasicMat<T>> pre;   // hidden pre-activations
+    std::vector<nn::BasicMat<T>> act;   // hidden activations
     nn::BasicMat<T> logits;             // (D, k)
   };
   using Forward = ForwardT<double>;

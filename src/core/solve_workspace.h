@@ -13,16 +13,9 @@
 // concurrently, one workspace per worker — the interface-level
 // commutativity that lets solve_batch() scale across the thread pool.
 //
-// Cold-start contract (DESIGN.md "Memory model"): the workspace's buffers
-// are arena-aware. Warming a fresh SolveWorkspace on a thread holding a
-// util::ArenaScope bump-allocates everything — the model forward caches, the
-// splits, the ADMM state, the shard slots — out of the bound arena, so
-// replica spin-up costs O(1) heap allocations (<= 5, alloc-hook-verified in
-// tests/workspace_test.cpp) and teardown is clear() + Arena::reset(). The
-// one plain-heap member is `caps`, which crosses the capacities interfaces
-// as a std::vector pointer. Binding is the *owner's* job (serve replicas and
-// TrainContext bind their own arenas); an unbound workspace behaves exactly
-// as before, entirely heap-backed.
+// Memory model (DESIGN.md "Memory model"): every buffer is a plain heap
+// std::vector (directly or inside an nn::Mat). The first solve on a fresh
+// workspace grows them; warm solves reuse their capacity.
 #pragma once
 
 #include <vector>
@@ -52,7 +45,7 @@ struct SolveWorkspace {
   // Shards write only their own slot, so they never false-share; everything
   // else they touch is disjoint *rows* of the matrices above.
   ShardPlan plan;
-  util::AVec<ShardStat> shard_stats;
+  std::vector<ShardStat> shard_stats;
 
   // Sizes and zeroes the per-shard scratch for a solve under `p`. Reuses the
   // vector's capacity, so warm solves with a stable plan allocate nothing.

@@ -106,13 +106,9 @@ te::Allocation TealScheme::solve(const te::Problem& pb, const te::TrafficMatrix&
   return a;
 }
 
-// The scheme-owned single-solve workspace grows out of the scheme's arena —
-// solve_into always runs on the caller's thread, so the binding is private
-// to this scheme's ws_ (batch workspaces warm on pool threads, unbound).
 void TealScheme::solve_into(const te::Problem& pb, const te::TrafficMatrix& tm,
                             te::Allocation& out) {
   te::validate_traffic_matrix(pb, tm);
-  util::ArenaScope bind(&arena_);
   solve_with(ws_, pb, tm, out, &last_seconds_, shard_count_);
 }
 
@@ -165,11 +161,8 @@ te::BatchSolve TealScheme::solve_batch(const te::Problem& pb,
 }
 
 void TealScheme::reset_workspace() {
-  // Containers first, then the arena rewind: clear() must run its
-  // (no-op) deallocations while the chunks are still mapped.
   ws_.clear();
   batch_ws_.clear();
-  arena_.reset();
 }
 
 void train_or_load_model(Model& model, const te::Problem& pb, const traffic::Trace& train,

@@ -113,8 +113,7 @@ class TealScheme : public te::Scheme {
   // bit-identically on the old version; solves that start after this call
   // use `m`. Safe to call from a trainer thread while replicas solve
   // concurrently. Workspace forward caches re-key off ModelForward::owner,
-  // so the first post-swap solve per workspace reallocates its cache
-  // (monotonic arena growth — see DESIGN.md).
+  // so the first post-swap solve per workspace reallocates its cache.
   std::uint64_t publish_model(std::unique_ptr<Model> m);
   std::uint64_t model_version() const { return hub_.version(); }
 
@@ -172,11 +171,6 @@ class TealScheme : public te::Scheme {
   double last_seconds_ = 0.0;
   int shard_count_ = 0;                 // 0 = auto (see set_shard_count)
   te::Precision precision_ = te::Precision::f64;
-  // Backs ws_ (bound around solve_into); declared before it so teardown
-  // destroys the workspace while its memory is still mapped. The batch
-  // workspaces stay heap-backed — they warm concurrently on pool threads,
-  // where a single arena would race.
-  util::Arena arena_;
   SolveWorkspace ws_;                   // solve()/solve_into() workspace
   std::vector<SolveWorkspace> batch_ws_;  // batch chunks 1.., lazily grown
 };

@@ -24,18 +24,9 @@
 // slot's own accumulator, so Teal and the Figure 14 ablation variants fan
 // out alike.
 //
-// Memory model (DESIGN.md "Memory model"): the context owns its arenas.
-// prepare() binds a root arena on the calling thread, so the slot array,
-// the per-slot GradAccum matrices and the backward-scratch array — the bulk
-// of a training context's footprint — bump-allocate out of a few chunks
-// (<= 5 heap allocations, alloc-hook-verified in tests/train_test.cpp).
-// for_slots() additionally binds one arena per rollout chunk inside the
-// fan-out, so the *first* training step's lazily-grown state (model forward
-// caches, TrainBackward scratch) lands in per-chunk arenas too — each chunk
-// id maps to one arena for the context's lifetime, regardless of which pool
-// thread runs it. Re-prepare() destroys the containers, resets the arenas
-// (retaining their chunks) and rebuilds: the O(1)-allocation topology swap.
-// Teardown frees a handful of chunks instead of hundreds of blocks.
+// Memory model (DESIGN.md "Memory model"): every slot, accumulator and
+// scratch buffer is plain heap storage. prepare() and the first training
+// step grow it; warm steps reuse it and allocate nothing.
 #pragma once
 
 #include <algorithm>
@@ -44,7 +35,6 @@
 #include "core/model.h"
 #include "core/solve_workspace.h"
 #include "nn/module.h"
-#include "util/arena.h"
 #include "util/thread_pool.h"
 
 namespace teal::core {
@@ -102,13 +92,6 @@ class TrainContext {
         static_cast<std::size_t>(chunks_for(n_active)),
         [&](std::size_t cb, std::size_t ce) {
           for (std::size_t c = cb; c < ce; ++c) {
-            // Chunk-owned arena, bound for the chunk's whole slot range: any
-            // buffer the body grows lazily (first-step model caches, backward
-            // scratch) comes from the chunk's arena no matter which pool
-            // thread runs it. Warm steps allocate nothing, so the binding is
-            // inert after the first step. Distinct chunks use distinct
-            // arenas, so concurrent chunks never contend.
-            util::ArenaScope bind(&chunk_arenas_[c]);
             const std::size_t s_begin = c * chunk;
             const std::size_t s_end =
                 std::min(static_cast<std::size_t>(n_active), s_begin + chunk);
@@ -132,19 +115,9 @@ class TrainContext {
   int rollout_batch_ = 1;
   int workers_ = 1;
   int chunk_ = 1;  // slots per chunk, fixed from the full batch
-  // Declaration order is a lifetime contract: the arenas are declared before
-  // every container that may hold their memory, so on destruction the
-  // containers' deallocations (provenance-header no-ops) run while the
-  // chunks backing them are still mapped — exactly what the ASan CI leg
-  // polices. `arena_` backs the slot/bws arrays and the GradAccum matrices;
-  // `chunk_arenas_[c]` backs what chunk c's first step grows lazily.
-  util::Arena arena_;
-  // Plain heap vector on purpose: it must survive arena_.reset() across
-  // re-prepares so the per-chunk arenas keep their warmed chunks.
-  std::vector<util::Arena> chunk_arenas_;
   std::vector<nn::Param*> params_;
-  util::AVec<Slot> slots_;
-  util::AVec<TrainBackward> bws_;
+  std::vector<Slot> slots_;
+  std::vector<TrainBackward> bws_;
 };
 
 }  // namespace teal::core

@@ -22,21 +22,13 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/arena.h"
-
 namespace teal::nn {
 
 template <typename T>
 class BasicMat {
  public:
   using value_type = T;
-  // Arena-aware storage: an owned vector whose buffer comes from the
-  // thread-bound util::Arena when one is live at (re)allocation time and from
-  // the heap otherwise. The Mat's semantics are unchanged either way — the
-  // arena only swaps *where* the bytes live, which is how the workspace
-  // structs get O(1)-allocation cold starts without perturbing a single bit
-  // of warm-path results.
-  using storage_type = util::AVec<T>;
+  using storage_type = std::vector<T>;
 
   BasicMat() = default;
   BasicMat(int rows, int cols, T fill = T(0))
@@ -120,7 +112,7 @@ using MatF = BasicMat<float>;   // narrowed f32 inference forward
 
 // y = x * wT + b_broadcast : x is (n, in), w is (out, in), b is (out), y is (n, out).
 // Parallelized over rows of x when n is large. Bias/grad-bias parameters are
-// spans so both plain std::vectors and arena-backed Mat storage bind.
+// spans so both plain std::vectors and Mat storage bind.
 template <typename T>
 void linear_forward(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
                     BasicMat<T>& y);

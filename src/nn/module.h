@@ -13,7 +13,6 @@
 
 #include "nn/mat.h"
 #include "nn/packed.h"
-#include "util/arena.h"
 #include "util/rng.h"
 
 namespace teal::nn {
@@ -51,12 +50,8 @@ class GradAccum {
   void reduce_into(const std::vector<Param*>& params) const;
 
  private:
-  // Arena-aware storage: a TrainContext prepares its per-slot GradAccums
-  // under its own arena binding, so the B x num_params gradient matrices —
-  // the bulk of a training context's cold-start allocations — land in a few
-  // arena chunks instead of hundreds of heap blocks.
-  util::AVec<Mat> g_;
-  util::AVec<Mat*> refs_;
+  std::vector<Mat> g_;
+  std::vector<Mat*> refs_;
 };
 
 // Xavier-uniform init, the default for the small dense layers here.

@@ -24,9 +24,9 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "nn/mat.h"
-#include "util/arena.h"
 
 namespace teal::nn {
 
@@ -34,10 +34,7 @@ namespace teal::nn {
 // weight matrix. Panel p holds outputs [p*kLanes, (p+1)*kLanes): for each
 // input column i, data[(p*in + i)*kLanes + l] is w(p*kLanes + l, i), with
 // padding lanes (out..panels*kLanes) zero-filled by pack_weights so they
-// contribute nothing and never read uninitialized memory. Storage is
-// arena-aware (util::AVec) like BasicMat, so workspace-side panels honor the
-// cold-start allocation contract; model-side weight snapshots simply land on
-// the heap when no arena is bound.
+// contribute nothing and never read uninitialized memory.
 class PackedMat {
  public:
   static constexpr int kLanes = 8;  // panel width; matches mat.cpp's f32 lane count
@@ -76,12 +73,12 @@ class PackedMat {
     return v_.data() + static_cast<std::size_t>(p) * static_cast<std::size_t>(in_) * kLanes;
   }
 
-  util::AVec<float>& data() { return v_; }
-  const util::AVec<float>& data() const { return v_; }
+  std::vector<float>& data() { return v_; }
+  const std::vector<float>& data() const { return v_; }
 
  private:
   int out_ = 0, in_ = 0, panels_ = 0;
-  util::AVec<float> v_;
+  std::vector<float> v_;
 };
 
 // Packs a row-major (out, in) f32 weight matrix into panels, resizing `dst`

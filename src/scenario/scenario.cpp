@@ -15,25 +15,6 @@ namespace {
 constexpr std::uint64_t kTagDemands = 21;
 constexpr std::uint64_t kTagTraffic = 22;
 
-// Restores the problem graph's capacities on scope exit, so a scenario run
-// (which applies failure-epoch capacities between solves) leaves the
-// scenario reusable even when a run throws.
-class CapacityRestore {
- public:
-  explicit CapacityRestore(te::Problem& pb) : pb_(&pb), orig_(pb.capacities()) {}
-  ~CapacityRestore() {
-    for (topo::EdgeId e = 0; e < pb_->graph().num_edges(); ++e) {
-      pb_->mutable_graph().set_capacity(e, orig_[static_cast<std::size_t>(e)]);
-    }
-  }
-  CapacityRestore(const CapacityRestore&) = delete;
-  CapacityRestore& operator=(const CapacityRestore&) = delete;
-
- private:
-  te::Problem* pb_;
-  std::vector<double> orig_;
-};
-
 void apply_capacities(te::Problem& pb, const std::vector<double>& caps) {
   for (topo::EdgeId e = 0; e < pb.graph().num_edges(); ++e) {
     pb.mutable_graph().set_capacity(e, caps[static_cast<std::size_t>(e)]);
@@ -181,7 +162,7 @@ ScenarioRunResult run_scenario(te::Scheme& scheme, Scenario& sc,
   }
   res.n_epochs = static_cast<int>(starts.size());
 
-  CapacityRestore restore(sc.pb);
+  te::CapacityRestore restore(sc.pb);
   FailureState state(sc.pb.graph(), sc.failures);
   for (std::size_t ep = 0; ep < starts.size(); ++ep) {
     const int b = starts[ep];

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/arena.h"
 #include "util/thread_pool.h"
 
 namespace teal::serve {
@@ -21,13 +20,6 @@ class WorkspaceReplica final : public Replica {
     if (shards_ == 0) {
       shards_ = pick_replica_shards(n_replicas_, pb.num_demands(), pb.total_paths());
     }
-    // Replica spin-up is the cold-start path this arena exists for: the
-    // first solve grows the whole workspace out of arena_ in O(1) heap
-    // allocations (bench_cold_start measures the win). Warm solves allocate
-    // nothing, so holding the binding afterwards costs two TLS writes.
-    // Sharded inner solves are safe too: every resize runs on this thread
-    // before the per-demand fan-out.
-    util::ArenaScope bind(&arena_);
     if (shards_ == 1) {
       // Sequential inner solve: hold the inline scope so N replicas' kernels
       // never fan out on top of each other (the pre-sharding serving shape).
@@ -42,7 +34,6 @@ class WorkspaceReplica final : public Replica {
   const core::TealScheme& scheme_;
   std::size_t n_replicas_;
   int shards_;               // 0 until resolved, then the fixed per-solve count
-  util::Arena arena_;        // backs ws_; declared first so it outlives it
   core::SolveWorkspace ws_;  // warm after the first request
 };
 

@@ -137,30 +137,23 @@ FailureResult eval_failure_reaction(te::Scheme& scheme, te::Problem& pb,
   FailureResult out;
   // Routes computed on the healthy topology.
   te::Allocation before = scheme.solve(pb, tm);
+  {
+    // Restores every capacity on scope exit: a repeated id, an out-of-range
+    // id or a throwing solve cannot leave a link dead.
+    te::CapacityRestore restore(pb);
+    for (topo::EdgeId e : failed_edges) pb.mutable_graph().set_capacity(e, 0.0);
+    scheme.on_topology_change(pb);
 
-  // Fail the links.
-  std::vector<double> saved;
-  saved.reserve(failed_edges.size());
-  for (topo::EdgeId e : failed_edges) {
-    saved.push_back(pb.graph().edge(e).capacity);
-    pb.mutable_graph().set_capacity(e, 0.0);
-  }
-  scheme.on_topology_change(pb);
+    // Recompute on the failed topology.
+    te::Allocation after = scheme.solve(pb, tm);
+    out.resolve_seconds = scheme.last_solve_seconds();
 
-  // Recompute on the failed topology.
-  te::Allocation after = scheme.solve(pb, tm);
-  out.resolve_seconds = scheme.last_solve_seconds();
-
-  const std::vector<double> failed_caps = pb.capacities();
-  out.stale_pct = te::satisfied_demand_pct(pb, tm, before, &failed_caps);
-  out.recomputed_pct = te::satisfied_demand_pct(pb, tm, after, &failed_caps);
-  const double frac_stale =
-      std::clamp(out.resolve_seconds * cfg.time_scale / cfg.interval_seconds, 0.0, 1.0);
-  out.satisfied_pct = frac_stale * out.stale_pct + (1.0 - frac_stale) * out.recomputed_pct;
-
-  // Restore.
-  for (std::size_t i = 0; i < failed_edges.size(); ++i) {
-    pb.mutable_graph().set_capacity(failed_edges[i], saved[i]);
+    const std::vector<double> failed_caps = pb.capacities();
+    out.stale_pct = te::satisfied_demand_pct(pb, tm, before, &failed_caps);
+    out.recomputed_pct = te::satisfied_demand_pct(pb, tm, after, &failed_caps);
+    const double frac_stale =
+        std::clamp(out.resolve_seconds * cfg.time_scale / cfg.interval_seconds, 0.0, 1.0);
+    out.satisfied_pct = frac_stale * out.stale_pct + (1.0 - frac_stale) * out.recomputed_pct;
   }
   scheme.on_topology_change(pb);
   return out;

@@ -79,7 +79,7 @@ OnlineResult replay_online(const te::Problem& pb, const traffic::Trace& trace,
 // (capacity 0), let the scheme recompute, and report the satisfied demand of
 // the post-failure interval as the time-weighted mix of stale routes (with
 // traffic on failed links dropped) and the recomputed routes. The problem's
-// graph is restored before returning.
+// capacities are restored before it returns or throws.
 struct FailureResult {
   double satisfied_pct = 0.0;       // time-weighted post-failure interval
   double stale_pct = 0.0;           // old routes on failed topology

@@ -119,6 +119,26 @@ class Problem {
   std::vector<int> edge_path_ids_;           // size num_incidences(), edge-major
 };
 
+// Snapshots the problem graph's capacities and writes them back on scope
+// exit, so a driver that fails links between solves (the failure-reaction
+// harness, scenario failure epochs) leaves the problem as it found it even
+// when a solve or a bad edge id throws.
+class CapacityRestore {
+ public:
+  explicit CapacityRestore(Problem& pb) : pb_(&pb), orig_(pb.capacities()) {}
+  ~CapacityRestore() {
+    for (topo::EdgeId e = 0; e < pb_->graph().num_edges(); ++e) {
+      pb_->mutable_graph().set_capacity(e, orig_[static_cast<std::size_t>(e)]);
+    }
+  }
+  CapacityRestore(const CapacityRestore&) = delete;
+  CapacityRestore& operator=(const CapacityRestore&) = delete;
+
+ private:
+  Problem* pb_;
+  std::vector<double> orig_;
+};
+
 // Throws std::invalid_argument, naming `what` and `count`, when `count`
 // exceeds INT_MAX. Problem's path ids and path-edge incidences are
 // int-indexed; its constructor checks both counts through this guard.

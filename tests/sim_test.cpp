@@ -1,6 +1,9 @@
 // Tests for the online control-loop simulator and failure-reaction harness.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/teal_scheme.h"
 #include "sim/online.h"
 #include "topo/topology.h"
@@ -137,6 +140,53 @@ TEST(Failures, ReactionRestoresTopology) {
   }
   EXPECT_GE(res.satisfied_pct, 0.0);
   EXPECT_LE(res.satisfied_pct, 100.0);
+}
+
+TEST(Failures, ReactionRestoresRepeatedEdge) {
+  // A repeated id must not save the already-zeroed capacity as the original.
+  auto s = b4_setup();
+  FakeScheme fast(1.0);
+  const auto caps_before = s.pb.capacities();
+  sim::eval_failure_reaction(fast, s.pb, s.trace.at(0), {0, 0}, {});
+  EXPECT_EQ(s.pb.capacities(), caps_before);
+}
+
+// Solves normally until `throw_on` solves have run, then throws: the
+// post-failure recompute dies with the links still failed.
+class ThrowingScheme : public te::Scheme {
+ public:
+  explicit ThrowingScheme(int throw_on) : throw_on_(throw_on) {}
+  std::string name() const override { return "Throwing"; }
+  te::Allocation solve(const te::Problem& pb, const te::TrafficMatrix&) override {
+    if (++n_solves == throw_on_) throw std::runtime_error("solve failed");
+    return pb.shortest_path_allocation();
+  }
+  double last_solve_seconds() const override { return 0.1; }
+  int n_solves = 0;
+
+ private:
+  int throw_on_;
+};
+
+TEST(Failures, ReactionRestoresWhenTheRecomputeThrows) {
+  auto s = b4_setup();
+  ThrowingScheme scheme(/*throw_on=*/2);
+  const auto caps_before = s.pb.capacities();
+  auto failed = sim::sample_link_failures(s.pb.graph(), 2, 7);
+  EXPECT_THROW(sim::eval_failure_reaction(scheme, s.pb, s.trace.at(0), failed, {}),
+               std::runtime_error);
+  EXPECT_EQ(scheme.n_solves, 2);
+  EXPECT_EQ(s.pb.capacities(), caps_before);
+}
+
+TEST(Failures, ReactionRestoresAfterAnOutOfRangeEdge) {
+  auto s = b4_setup();
+  FakeScheme fast(1.0);
+  const auto caps_before = s.pb.capacities();
+  const std::vector<topo::EdgeId> failed{0, 1, s.pb.graph().num_edges()};
+  EXPECT_THROW(sim::eval_failure_reaction(fast, s.pb, s.trace.at(0), failed, {}),
+               std::out_of_range);
+  EXPECT_EQ(s.pb.capacities(), caps_before);
 }
 
 TEST(Failures, SlowRecomputationHurts) {

@@ -16,6 +16,7 @@
 //      measured by the trainers themselves via util::alloc_hook).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -316,27 +317,63 @@ TEST(TrainWorkspace, DirectLossWarmStepsAllocationFree) {
       << "warm direct-loss training steps must not allocate";
 }
 
-// Cold-start contract: TrainContext::prepare bump-allocates the slot array,
-// every per-slot gradient accumulator and the backward scratch out of the
-// context's own arenas — O(1) heap allocations for the spin-up, and again
-// for a re-prepare (which re-bumps the retained chunks).
-TEST(TrainWorkspace, ContextPrepareIsO1Allocations) {
+// Direct-loss-shaped optimizer steps driven through a caller-owned context:
+// every step runs all rollout slots, each pushing its demands toward their
+// first path. Returns the heap allocations of the steps after the first.
+std::uint64_t train_through(core::TrainContext& ctx, core::Model& model, const Setup& s,
+                            int n_steps) {
+  const int nd = s.pb.num_demands();
+  const int k = model.k_paths();
+  const std::vector<double> caps = s.pb.capacities();
+  const core::ShardPlan plan = core::ShardPlan::sequential(nd);
+  nn::Adam adam(model.params(), 1e-3);
+  std::uint64_t warm_allocs = 0;
+  for (int step = 0; step < n_steps; ++step) {
+    util::AllocCounter allocs;
+    adam.zero_grad();
+    ctx.for_slots(ctx.rollout_batch(), [&](int slot_id, int chunk) {
+      const te::TrafficMatrix& tm = s.trace.at((step + slot_id) % s.trace.size());
+      auto& slot = ctx.slot(slot_id);
+      model.forward_ws(s.pb, tm, &caps, slot.ws.fwd, plan);
+      nn::softmax_rows(slot.ws.fwd.logits, slot.ws.fwd.mask, slot.ws.splits);
+      slot.grad_splits.resize(nd, k);
+      slot.grad_splits.zero();
+      for (int d = 0; d < nd; ++d) {
+        slot.grad_splits.at(d, 0) = -tm.volume[static_cast<std::size_t>(d)];
+      }
+      nn::softmax_rows_backward(slot.ws.splits, slot.grad_splits, slot.grad_logits);
+      slot.grads.zero();
+      model.backward_ws(s.pb, slot.ws.fwd, slot.grad_logits, ctx.bws(chunk),
+                        slot.grads.refs());
+    });
+    ctx.reduce(ctx.rollout_batch());
+    adam.step();
+    if (step > 0) warm_allocs += allocs.count();
+  }
+  return warm_allocs;
+}
+
+// Re-prepare rebuilds every slot: a context that already trained another
+// model trains byte-identical parameters to a freshly prepared one, and its
+// warm steps allocate nothing.
+TEST(TrainWorkspace, RePreparedContextTrainsLikeAFreshOne) {
   auto s = topo_setup("B4", 60, 4);
-  auto model = make_model(s.pb);
-  core::TrainContext ctx;
-  {
-    util::AllocCounter allocs;
-    ctx.prepare(model, /*rollout_batch=*/4, /*workers=*/2);
-    EXPECT_LE(allocs.count(), 5u)
-        << "TrainContext spin-up must stay O(1) heap allocations";
-  }
-  EXPECT_EQ(ctx.rollout_batch(), 4);
-  {
-    util::AllocCounter allocs;
-    ctx.prepare(model, /*rollout_batch=*/4, /*workers=*/2);
-    EXPECT_LE(allocs.count(), 5u)
-        << "re-prepare must re-bump retained chunks, not re-malloc";
-  }
+  core::TealModel other(core::TealModelConfig{}, s.pb.k_paths(), /*seed=*/9);
+  core::TrainContext reused;
+  reused.prepare(other, /*rollout_batch=*/4, /*workers=*/2);
+  train_through(reused, other, s, 2);
+
+  auto a = make_model(s.pb);
+  reused.prepare(a, /*rollout_batch=*/4, /*workers=*/2);
+  EXPECT_EQ(reused.rollout_batch(), 4);
+  EXPECT_EQ(train_through(reused, a, s, 3), 0u)
+      << "warm steps on a re-prepared context must not allocate";
+
+  auto b = make_model(s.pb);
+  core::TrainContext fresh;
+  fresh.prepare(b, /*rollout_batch=*/4, /*workers=*/2);
+  EXPECT_EQ(train_through(fresh, b, s, 3), 0u);
+  expect_params_bit_identical(a, b, "re-prepared vs fresh context");
 }
 
 // The Figure 14 ablation variants train through the same workspace seam as

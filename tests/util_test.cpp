@@ -1,5 +1,4 @@
-// Unit tests for the util substrate: thread pool, RNG, arena, statistics,
-// tables.
+// Unit tests for the util substrate: thread pool, RNG, statistics, tables.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +12,6 @@
 #include <thread>
 
 #include "util/alloc_hook.h"
-#include "util/arena.h"
 #include "util/csv.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -205,128 +203,6 @@ TEST(Table, RendersAndWritesCsv) {
 TEST(Table, RowSizeMismatchThrows) {
   util::Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
-}
-
-TEST(Arena, AlignmentHonored) {
-  util::Arena a;
-  for (std::size_t align : {1u, 2u, 8u, 16u, 64u, 128u}) {
-    void* p = a.allocate(24, align);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u)
-        << "align " << align;
-  }
-  // Blocks must not overlap: write patterns, then verify them all.
-  char* p1 = static_cast<char*>(a.allocate(64, 8));
-  char* p2 = static_cast<char*>(a.allocate(64, 8));
-  std::fill_n(p1, 64, 'a');
-  std::fill_n(p2, 64, 'b');
-  EXPECT_EQ(p1[63], 'a');
-  EXPECT_EQ(p2[0], 'b');
-}
-
-TEST(Arena, GrowsByAppendingChunks) {
-  util::Arena a(/*first_chunk_bytes=*/1024);
-  EXPECT_EQ(a.chunk_count(), 0u);  // lazy: no chunk until the first allocate
-  a.allocate(512, 8);
-  EXPECT_EQ(a.chunk_count(), 1u);
-  // Overflow the first chunk; the arena must keep every earlier block live.
-  for (int i = 0; i < 64; ++i) a.allocate(512, 8);
-  EXPECT_GT(a.chunk_count(), 1u);
-  EXPECT_GE(a.capacity(), 65u * 512u);
-  EXPECT_GE(a.used(), 65u * 512u);
-}
-
-TEST(Arena, LargeSingleAllocationServed) {
-  util::Arena a(/*first_chunk_bytes=*/1024);
-  // Far bigger than the next scheduled chunk: must land in a dedicated
-  // chunk, aligned, without disturbing the bump sequence.
-  const std::size_t big = 3u * 1024u * 1024u;
-  char* p = static_cast<char*>(a.allocate(big, 64));
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u);
-  p[0] = 'x';
-  p[big - 1] = 'y';
-  EXPECT_GE(a.capacity(), big);
-}
-
-TEST(Arena, ResetRetainsCapacityAndAvoidsHeap) {
-  util::Arena a(/*first_chunk_bytes=*/1024);
-  for (int i = 0; i < 32; ++i) a.allocate(256, 8);
-  const std::size_t cap = a.capacity();
-  const std::size_t chunks = a.chunk_count();
-  a.reset();
-  EXPECT_EQ(a.used(), 0u);
-  EXPECT_EQ(a.capacity(), cap);
-  EXPECT_EQ(a.chunk_count(), chunks);
-  // The rewound arena serves the same demand out of retained chunks: the
-  // O(1)-allocation topology swap this class exists for.
-  util::AllocCounter allocs;
-  for (int i = 0; i < 32; ++i) a.allocate(256, 8);
-  EXPECT_EQ(allocs.count(), 0u);
-  EXPECT_EQ(a.chunk_count(), chunks);
-}
-
-TEST(Arena, ReserveTakesGrowthOutOfLaterWindows) {
-  util::Arena a;
-  a.reserve(64u * 1024u);
-  EXPECT_GE(a.capacity(), 64u * 1024u);
-  util::AllocCounter allocs;
-  a.allocate(32u * 1024u, 64);
-  EXPECT_EQ(allocs.count(), 0u);
-}
-
-TEST(ArenaScope, BindsAndNests) {
-  util::Arena a;
-  EXPECT_EQ(util::current_arena(), nullptr);
-  {
-    util::ArenaScope outer(&a);
-    EXPECT_EQ(util::current_arena(), &a);
-    {
-      // Binding nullptr shields an inner region from the outer scope.
-      util::ArenaScope shield(nullptr);
-      EXPECT_EQ(util::current_arena(), nullptr);
-    }
-    EXPECT_EQ(util::current_arena(), &a);
-  }
-  EXPECT_EQ(util::current_arena(), nullptr);
-}
-
-TEST(ArenaAlloc, BoundVectorBumpsInsteadOfMalloc) {
-  util::Arena a;
-  a.reserve(64u * 1024u);
-  util::ArenaScope bind(&a);
-  const std::size_t used_before = a.used();
-  util::AllocCounter allocs;
-  util::AVec<double> v(1000, 1.5);
-  EXPECT_EQ(allocs.count(), 0u);
-  EXPECT_GT(a.used(), used_before);
-  EXPECT_DOUBLE_EQ(v[999], 1.5);
-}
-
-TEST(ArenaAlloc, UnboundVectorUsesHeap) {
-  util::Arena a;
-  std::size_t used;
-  {
-    util::AVec<double> v(1000, 2.0);  // no scope: heap-backed
-    used = a.used();
-    EXPECT_DOUBLE_EQ(v[0], 2.0);
-  }  // heap provenance: destruction frees normally (ASan leg polices this)
-  EXPECT_EQ(used, 0u);
-}
-
-TEST(ArenaAlloc, ContainerMayOutliveBinding) {
-  util::Arena a;
-  util::AVec<int> v;
-  {
-    util::ArenaScope bind(&a);
-    v.assign(500, 7);
-  }
-  // Grown under the binding, used and destroyed after it ended: the
-  // provenance header (not the binding) routes the deallocation, which is a
-  // no-op for arena blocks.
-  EXPECT_EQ(v[499], 7);
-  v = {};
-  EXPECT_GT(a.used(), 0u);  // mem-root semantics: reclaimed only by reset()
 }
 
 TEST(CounterRng, DeterministicAndSeedSeparated) {

@@ -17,7 +17,6 @@
 #include "topo/topology.h"
 #include "traffic/traffic.h"
 #include "util/alloc_hook.h"
-#include "util/arena.h"
 
 namespace teal {
 namespace {
@@ -170,95 +169,22 @@ TEST(SolveBoundary, SolveBatchRejectsBeforeSolving) {
   }
 }
 
-TEST(ArenaWorkspace, ColdSpinUpIsO1AllocationsAndBitIdentical) {
+TEST(Workspace, FreshReplicaWorkspaceMatchesAndWarmsAllocationFree) {
+  // Replica spin-up: a fresh workspace's cold solve_replica is byte-equal to
+  // a reference solve, and its next (warm) solve allocates nothing.
   auto s = b4_setup();
   auto scheme = make_teal(s.pb);
-  // Heap reference + warm-up: faults pool/statics, sizes out.split, and
-  // gives the byte-level ground truth an arena solve must reproduce.
   te::Allocation ref, out;
   {
-    core::SolveWorkspace heap_ws;
-    scheme.solve_replica(heap_ws, s.pb, s.trace.at(0), ref);
+    core::SolveWorkspace ref_ws;
+    scheme.solve_replica(ref_ws, s.pb, s.trace.at(0), ref);
   }
-  out = ref;  // pre-sized output: the window measures workspace cold-start only
-  util::Arena arena;
-  arena.reserve(1u << 20);  // chunk growth out of the measured window
-  util::ArenaScope bind(&arena);
   core::SolveWorkspace ws;
-  util::AllocCounter allocs;
   scheme.solve_replica(ws, s.pb, s.trace.at(0), out);
-  // The cold-start contract: the whole workspace grows out of the arena in
-  // O(1) heap allocations (caps snapshot + the model's shared forward cache).
-  EXPECT_LE(allocs.count(), 5u)
-      << "cold solve against a bound arena must stay O(1) heap allocations";
-  EXPECT_GT(arena.used(), 0u);
   expect_bit_identical(ref, out);
-  // And the now-warm arena-backed workspace keeps the zero-alloc contract.
-  allocs.reset();
-  scheme.solve_replica(ws, s.pb, s.trace.at(1), out);
-  EXPECT_EQ(allocs.count(), 0u);
-}
-
-TEST(ArenaWorkspace, TopologySwapReusesRetainedChunks) {
-  // Same replica slot re-pointed at a different topology: clear() + reset()
-  // must rebuild the workspace out of the chunks the first warm-up faulted.
-  auto a = b4_setup();
-  auto ga = topo::make_swan_like(7);
-  te::Problem pb_b(std::move(ga), traffic::sample_demands(topo::make_swan_like(7), 120, 8), 4);
-  traffic::TraceConfig cfg;
-  cfg.n_intervals = 2;
-  cfg.seed = 9;
-  auto trace_b = traffic::generate_trace(pb_b, cfg);
-
-  auto scheme_a = make_teal(a.pb);
-  auto scheme_b = make_teal(pb_b);
-  te::Allocation ref_b, out;
-  {
-    core::SolveWorkspace heap_ws;
-    scheme_b.solve_replica(heap_ws, pb_b, trace_b.at(0), ref_b);
-  }
-  util::Arena arena;
-  arena.reserve(4u << 20);
-  util::ArenaScope bind(&arena);
-  core::SolveWorkspace ws;
-  scheme_a.solve_replica(ws, a.pb, a.trace.at(0), out);
-  const std::size_t chunks_after_a = arena.chunk_count();
-
-  ws.clear();    // containers first (their deallocs are provenance no-ops)…
-  arena.reset(); // …then rewind, retaining every chunk
-  out = ref_b;
   util::AllocCounter allocs;
-  scheme_b.solve_replica(ws, pb_b, trace_b.at(0), out);
-  EXPECT_LE(allocs.count(), 5u)
-      << "topology swap must re-bump retained chunks, not re-malloc";
-  EXPECT_EQ(arena.chunk_count(), chunks_after_a);
-  expect_bit_identical(ref_b, out);
-}
-
-TEST(ArenaWorkspace, SolveAgainstArenaMatchesHeapOnEveryTopology) {
-  // The arena changes where buffers live, never what arithmetic runs: on
-  // every bundled topology, sequential and sharded (whose fan-out runs on
-  // unbound pool threads), the f64 solve is byte-equal heap vs arena.
-  for (const std::string& name : {"B4", "SWAN", "UsCarrier", "Kdl", "ASN"}) {
-    auto g = topo::make_topology(name);
-    auto demands = traffic::sample_demands(g, 80, /*seed=*/5);
-    te::Problem pb(std::move(g), std::move(demands), 4);
-    traffic::TraceConfig cfg;
-    cfg.n_intervals = 1;
-    cfg.seed = 6;
-    auto trace = traffic::generate_trace(pb, cfg);
-    auto scheme = make_teal(pb);
-    for (int shards : {1, 3}) {
-      te::Allocation ref, out;
-      core::SolveWorkspace heap_ws;
-      scheme.solve_replica(heap_ws, pb, trace.at(0), ref, nullptr, shards);
-      util::Arena arena;
-      util::ArenaScope bind(&arena);
-      core::SolveWorkspace ws;
-      scheme.solve_replica(ws, pb, trace.at(0), out, nullptr, shards);
-      expect_bit_identical(ref, out);
-    }
-  }
+  scheme.solve_replica(ws, s.pb, s.trace.at(1), out);
+  EXPECT_EQ(allocs.count(), 0u) << "warm solve_replica must not touch the heap";
 }
 
 TEST(Workspace, RunOnlineUsesBatchedSolves) {
