@@ -15,6 +15,7 @@
 //    numbers per figure; scripts/check_docs.sh keeps it consistent).
 #pragma once
 
+#include <concepts>
 #include <memory>
 #include <string>
 #include <vector>
@@ -110,8 +111,9 @@ double scheme_time_scale(const std::string& scheme, const std::string& topo,
 // Shared fixture for the Precision/SIMD ledger's batched linear-forward
 // kernel: n rows through a (24 -> 24) dense layer at the pipeline's own
 // shape class. bench_micro_kernels and bench_precision_simd both report this
-// kernel's f64/f32 ratio, so the shape, seed and fill are defined once here
-// — retuning it in one binary cannot silently diverge from the other.
+// kernel's ratios, so the shape, seed and fill are defined once here —
+// retuning it in one binary cannot silently diverge from the other. run()
+// times the unblocked row-major kernel, which only f32 has.
 template <typename T>
 struct LinearKernelFixture {
   static constexpr int kRows = 20000, kIn = 24, kOut = 24;
@@ -124,15 +126,21 @@ struct LinearKernelFixture {
     for (auto& v : w.data()) v = static_cast<T>(rng.normal());
     for (auto& v : b) v = static_cast<T>(rng.normal());
   }
-  void run() { nn::linear_forward_rows(x, w, b, y, 0, kRows); }
+  void run()
+    requires std::same_as<T, float>
+  {
+    nn::linear_forward_rows(x, w, b, y, 0, kRows);
+  }
 };
 
 // Blocked-layout variant of the same kernel: identical shape, seed and fill
-// (it packs LinearKernelFixture<float>'s weights), so the blocked-vs-
-// unblocked ratio is apples-to-apples.
+// (it packs LinearKernelFixture<T>'s weights), so the blocked-vs-unblocked
+// ratio is apples-to-apples. PackedKernelFixture<double> is the kernel every
+// f64 solve-path Linear forward runs.
+template <typename T>
 struct PackedKernelFixture {
-  LinearKernelFixture<float> base;
-  nn::PackedMat wp;
+  LinearKernelFixture<T> base;
+  nn::BasicPackedMat<T> wp;
 
   PackedKernelFixture() { nn::pack_weights(base.w, wp); }
   void run() { nn::linear_forward_rows_blocked(base.x, wp, base.b, base.y, 0, base.kRows); }

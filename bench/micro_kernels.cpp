@@ -97,11 +97,12 @@ BENCHMARK(BM_TealSolveWarmWorkspace)->Unit(benchmark::kMillisecond);
 
 // Batched linear-forward kernels, the hot inner loop of the FlowGNN/policy
 // forward (bench::LinearKernelFixture / bench::PackedKernelFixture — the
-// same shape/seed bench_precision_simd ledgers). The f64 variant is the
-// bit-stable reference; the f32 variant is the unblocked narrowed path; the
-// Blocked variants run the lane-panel broadcast-FMA kernel the solve path
-// actually uses (f32 panels). Ratios of interest: f64/f32 (narrowing +
-// SIMD), f32/blocked-f32 (layout, CI-asserted >= 1x).
+// same shape/seed bench_precision_simd ledgers). The F64 variant is the
+// packed-panel kernel every f64 solve-path Linear forward runs (4-lane
+// panels, no-FMA ISA clones, the bits of the ordered scalar loop); the F32
+// variant is the unblocked narrowed path; the BlockedF32 variant runs the
+// 8-lane f32 panels the narrowed solve uses. Ratios of interest: F64/F32
+// (narrowing), F32/BlockedF32 (layout, CI-asserted >= 1x).
 //
 // All three run a pinned iteration count after an explicit warm-up pass so
 // run-to-run numbers stay comparable (google-benchmark's adaptive iteration
@@ -120,8 +121,8 @@ void run_linear_kernel_bench(benchmark::State& state, Fx& fx, nn::BasicMat<T>& y
 }
 
 void BM_LinearForwardBatchedF64(benchmark::State& state) {
-  bench::LinearKernelFixture<double> fx;
-  run_linear_kernel_bench(state, fx, fx.y);
+  bench::PackedKernelFixture<double> fx;
+  run_linear_kernel_bench(state, fx, fx.base.y);
 }
 BENCHMARK(BM_LinearForwardBatchedF64)
     ->Unit(benchmark::kMillisecond)
@@ -136,7 +137,7 @@ BENCHMARK(BM_LinearForwardBatchedF32)
     ->Iterations(kLinearKernelIters);
 
 void BM_LinearForwardBlockedF32(benchmark::State& state) {
-  bench::PackedKernelFixture fx;
+  bench::PackedKernelFixture<float> fx;
   run_linear_kernel_bench(state, fx, fx.base.y);
 }
 BENCHMARK(BM_LinearForwardBlockedF32)

@@ -20,11 +20,65 @@ void resize_unspecified(std::vector<double>& v, std::size_t n) {
   std::fill(v.begin(), v.end(), std::numeric_limits<double>::signaling_NaN());
 #endif
 }
+
+// Demands per F-update group: one coordinate step of kGroup demands runs as
+// one pass over kGroup lanes (two AVX2 or four SSE2 vectors of doubles).
+constexpr int kGroup = 8;
+
+// The F-update group's demand-interleaved arrays, (slot j, lane l) at
+// j * kGroup + l: lane l is the group's l-th demand, slot j its j-th path.
+struct GroupLanes {
+  double* __restrict x;    // split ratios
+  double* __restrict c1;   // w * dv - l1 - dv * sum_l4
+  double* __restrict c2;   // rho * dv * sum_z
+  double* __restrict den;  // rho * (1 + dv * dv * m)
+};
+
+// `sweeps` coordinate-descent sweeps over slots [0, depth) of one group, all
+// lanes in lockstep. A lane steps slot j only when j < n_paths[l]; the other
+// lanes keep their x and x_sum through a select, so each demand takes
+// exactly the steps of the one-demand loop, with the same expression:
+// num = (c1 - rho * rest) + c2 with rest = x_sum - x + s1 - 1, and the
+// clamp of num / den to [0, 1] written as std::clamp evaluates it.
+void sweep_group(const GroupLanes& g, double* __restrict x_sum, const double* __restrict s1,
+                 const double* __restrict n_paths, int depth, int sweeps, double rho) {
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    for (int j = 0; j < depth; ++j) {
+      double* __restrict xj = g.x + j * kGroup;
+      const double* __restrict c1 = g.c1 + j * kGroup;
+      const double* __restrict c2 = g.c2 + j * kGroup;
+      const double* __restrict den = g.den + j * kGroup;
+      const double slot = static_cast<double>(j);
+      for (int l = 0; l < kGroup; ++l) {
+        const double x_old = xj[l];
+        const double rest = x_sum[l] - x_old + s1[l] - 1.0;
+        const double q = ((c1[l] - rho * rest) + c2[l]) / den[l];
+        const double x_new = q < 0.0 ? 0.0 : (1.0 < q ? 1.0 : q);
+        const bool on = slot < n_paths[l];
+        x_sum[l] = on ? x_sum[l] + (x_new - x_old) : x_sum[l];
+        xj[l] = on ? x_new : x_old;
+      }
+    }
+  }
+}
 }  // namespace
 
 int default_admm_iterations(int n_nodes) { return n_nodes < 100 ? 2 : 5; }
 
 Admm::Admm(const te::Problem& pb, AdmmConfig cfg) : pb_(pb), cfg_(std::move(cfg)) {
+  if (!std::isfinite(cfg_.rho) || cfg_.rho <= 0.0) {
+    throw std::invalid_argument("Admm: rho must be finite and > 0, got " +
+                                std::to_string(cfg_.rho));
+  }
+  if (cfg_.iterations < 0) {
+    throw std::invalid_argument("Admm: iterations must be >= 0, got " +
+                                std::to_string(cfg_.iterations));
+  }
+  if (cfg_.coord_sweeps < 0) {
+    throw std::invalid_argument("Admm: coord_sweeps must be >= 0, got " +
+                                std::to_string(cfg_.coord_sweeps));
+  }
+  for (int d = 0; d < pb.num_demands(); ++d) max_paths_ = std::max(max_paths_, pb.num_paths(d));
   const std::size_t nw = cfg_.path_weight.size();
   if (nw != 0 && nw != static_cast<std::size_t>(pb.total_paths())) {
     throw std::invalid_argument("Admm: path_weight has " + std::to_string(nw) + " entries for " +
@@ -165,31 +219,64 @@ Admm::Residuals Admm::fine_tune(const te::TrafficMatrix& tm,
   resize_unspecified(shift, static_cast<std::size_t>(ne));
 
   const bool weighted = !cfg_.path_weight.empty();
+  // One group slice per shard: x, c1, c2 and den, each max_paths_ x kGroup.
+  const std::size_t slab = static_cast<std::size_t>(max_paths_) * kGroup;
+  auto& group = ws.group;
+  resize_unspecified(group, 4 * slab * static_cast<std::size_t>(shards.n_shards));
 
   for (int it = 0; it < cfg_.iterations; ++it) {
     // ---- F-update: per-demand nonnegative QP via coordinate descent,
-    // fanned over the demand shards. Each shard touches only its own
-    // demands' x/x_sum/flow entries and reads the per-path sums and s1/l1
-    // held fixed this block.
-    run_sharded(shards, stats, [&](int /*shard*/, int d0, int d1) {
-      for (int d = d0; d < d1; ++d) {
-        const auto di = static_cast<std::size_t>(d);
-        const double dv = vol[di];
-        for (int sweep = 0; sweep < cfg_.coord_sweeps; ++sweep) {
-          for (int p = pb_.path_begin(d); p < pb_.path_end(d); ++p) {
+    // fanned over the demand shards and run kGroup demands at a time. Each
+    // shard touches only its own demands' x/x_sum/flow entries and its own
+    // group slice, and reads the per-path sums and s1/l1 held fixed this
+    // block — which is also why each path's c1, c2 and den are taken once
+    // per iteration rather than once per coordinate step.
+    run_sharded(shards, stats, [&](int shard, int d0, int d1) {
+      double* slice = group.data() + 4 * slab * static_cast<std::size_t>(shard);
+      const GroupLanes g{slice, slice + slab, slice + 2 * slab, slice + 3 * slab};
+      for (int g0 = d0; g0 < d1; g0 += kGroup) {
+        const int n = std::min(kGroup, d1 - g0);
+        double lane_x_sum[kGroup], lane_s1[kGroup], n_paths[kGroup];
+        int depth = 0;
+        for (int l = 0; l < kGroup; ++l) {
+          const auto di = static_cast<std::size_t>(g0 + l);
+          const int count = l < n ? pb_.num_paths(g0 + l) : 0;
+          depth = std::max(depth, count);
+          n_paths[l] = static_cast<double>(count);
+          lane_x_sum[l] = l < n ? x_sum[di] : 0.0;
+          lane_s1[l] = l < n ? s1[di] : 0.0;
+        }
+        for (int j = 0; j < depth; ++j) {
+          for (int l = 0; l < kGroup; ++l) {
+            const std::size_t at = static_cast<std::size_t>(j) * kGroup + l;
+            if (static_cast<double>(j) >= n_paths[l]) {
+              g.x[at] = 0.0;  // an idle lane: finite operands, result discarded
+              g.c1[at] = 0.0;
+              g.c2[at] = 0.0;
+              g.den[at] = 1.0;
+              continue;
+            }
+            const auto di = static_cast<std::size_t>(g0 + l);
+            const int p = pb_.path_begin(g0 + l) + j;
             const auto ps = static_cast<std::size_t>(p);
+            const double dv = vol[di];
             const double m = static_cast<double>(pb_.path_edges(p).size());
             const double w = weighted ? cfg_.path_weight[ps] : 1.0;
-            const double rest = x_sum[di] - x[ps] + s1[di] - 1.0;
-            double num =
-                w * dv - l1[di] - dv * sum_l4[ps] - rho * rest + rho * dv * sum_z[ps];
-            double x_new = std::clamp(num / (rho * (1.0 + dv * dv * m)), 0.0, 1.0);
-            x_sum[di] += x_new - x[ps];
-            x[ps] = x_new;
+            g.x[at] = x[ps];
+            g.c1[at] = w * dv - l1[di] - dv * sum_l4[ps];
+            g.c2[at] = rho * dv * sum_z[ps];
+            g.den[at] = rho * (1.0 + dv * dv * m);
           }
         }
-        for (int p = pb_.path_begin(d); p < pb_.path_end(d); ++p) {
-          flow[static_cast<std::size_t>(p)] = x[static_cast<std::size_t>(p)] * dv;
+        sweep_group(g, lane_x_sum, lane_s1, n_paths, depth, cfg_.coord_sweeps, rho);
+        for (int l = 0; l < n; ++l) {
+          const auto di = static_cast<std::size_t>(g0 + l);
+          x_sum[di] = lane_x_sum[l];
+          for (int p = pb_.path_begin(g0 + l), j = 0; p < pb_.path_end(g0 + l); ++p, ++j) {
+            const auto ps = static_cast<std::size_t>(p);
+            x[ps] = g.x[static_cast<std::size_t>(j) * kGroup + l];
+            flow[ps] = x[ps] * vol[di];
+          }
         }
       }
     });

@@ -16,6 +16,13 @@
 // the paper runs ADMM on the GPU. Per §4 the iteration count is 2 for
 // topologies with < 100 nodes and 5 otherwise.
 //
+// Within one demand every coordinate step waits on the previous one through
+// a division, so the F-update runs groups of 8 demands in lockstep: one
+// coordinate step of 8 independent demands per vector pass over
+// demand-interleaved scratch. Each demand still takes its own steps in its
+// own order with the same expression, so the bits are those of the
+// one-demand-at-a-time loop.
+//
 // Used alone from a cold start, ADMM needs far too many iterations to reach
 // a good solution (§3.4) — the fig14 ablation bench demonstrates exactly
 // that by comparing cold- and warm-started runs.
@@ -41,8 +48,10 @@ int default_admm_iterations(int n_nodes);
 class Admm {
  public:
   // Reads the incidence index from `pb`, which must outlive the Admm;
-  // reusable across solves on the same Problem. Throws std::invalid_argument
-  // unless cfg.path_weight is empty or has one entry per path.
+  // reusable across solves on the same Problem. Throws std::invalid_argument,
+  // naming the field, unless cfg.rho is finite and > 0 (every update divides
+  // by it), cfg.iterations >= 0, cfg.coord_sweeps >= 0 and cfg.path_weight
+  // is empty or has one entry per path.
   explicit Admm(const te::Problem& pb, AdmmConfig cfg = {});
 
   // Fine-tunes `a` in place for the given matrix/capacities. Returns the
@@ -70,6 +79,9 @@ class Admm {
     std::vector<double> z_sum;             // per-edge sum of z
     std::vector<double> offset, shift;     // per-edge z-update terms: offset, S (sum of a_p first)
     std::vector<double> s1, l1, s3, l3;    // slacks and multipliers
+    // F-update scratch, one slice per shard: the demand-interleaved x and
+    // the hoisted per-path terms of one group of 8 demands (see fine_tune).
+    std::vector<double> group;
   };
 
   // Auto demand-shard plan (core::auto_shard_count).
@@ -77,7 +89,8 @@ class Admm {
                       te::Allocation& a, Workspace& ws) const;
 
   // Demand-sharded fine-tune. The per-demand stages — the F-update
-  // (coordinate descent over [demand_begin, demand_end)), the s1/l1 updates
+  // (coordinate descent over each shard's demands, 8 at a time in
+  // lockstep; a group never crosses a shard boundary), the s1/l1 updates
   // and the path pass (each incidence's z and l4 ascent, and each path's
   // l4/z sums) — fan out over `shards`. The coupled link-level stages, which
   // read paths of *other* demands through the edge incidence, run on the
@@ -98,6 +111,7 @@ class Admm {
  private:
   const te::Problem& pb_;
   AdmmConfig cfg_;
+  int max_paths_ = 0;  // most paths of any demand: the F-update group depth
 };
 
 }  // namespace teal::core

@@ -162,10 +162,9 @@ void FlowGnn::scatter_grad_paths_from_edges(const te::Problem& pb, const nn::Mat
       });
 }
 
-template <typename T, typename Lin>
+template <typename T>
 void FlowGnn::edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
-                             const std::vector<Lin>& edge_lin, int l, int e_begin,
-                             int e_end) const {
+                             const Layers<T>& edge_lin, int l, int e_begin, int e_end) const {
   // Fused edge side of block l for rows [e_begin, e_end): bipartite
   // aggregation gather (the coupled link-level step — it reads *all* path
   // rows of the block input, which is why blocks need a barrier), concat,
@@ -188,11 +187,10 @@ void FlowGnn::edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
   }
 }
 
-template <typename T, typename Lin>
+template <typename T>
 void FlowGnn::demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
-                               const std::vector<Lin>& path_lin,
-                               const std::vector<Lin>& dnn_lin, int l, int d_begin,
-                               int d_end) const {
+                               const Layers<T>& path_lin, const Layers<T>& dnn_lin, int l,
+                               int d_begin, int d_end) const {
   // Fused demand side of block l for demands [d_begin, d_end): per-path
   // aggregation/dense update, then the per-demand DNN layer, then widening
   // (or the final-embedding copy). Paths of a demand are contiguous, so the
@@ -247,13 +245,12 @@ void FlowGnn::demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
   }
 }
 
-template <typename T, typename Lin>
+template <typename T>
 void FlowGnn::forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
                            const std::vector<double>* capacities, ForwardT<T>& fwd,
                            const ShardPlan& shards, ShardStat* stats,
-                           const std::vector<Lin>& edge_lin,
-                           const std::vector<Lin>& path_lin,
-                           const std::vector<Lin>& dnn_lin) const {
+                           const Layers<T>& edge_lin, const Layers<T>& path_lin,
+                           const Layers<T>& dnn_lin) const {
   const int ne = pb.graph().num_edges();
   const int np = pb.total_paths();
   const int nd = pb.num_demands();
@@ -330,8 +327,14 @@ void FlowGnn::forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
 void FlowGnn::forward(const te::Problem& pb, const te::TrafficMatrix& tm,
                       const std::vector<double>* capacities, Forward& fwd,
                       const ShardPlan& shards, ShardStat* stats) const {
-  forward_impl(pb, tm, capacities, fwd, shards, stats, edge_linear_, path_linear_,
-               dnn_linear_);
+  // Pack the current weights into the workspace's panels here, on the
+  // calling thread before any fan-out: allocation-free once warm, and never
+  // stale, since training updates the weights between forwards.
+  nn::pack_layers(edge_linear_, fwd.edge_lin);
+  nn::pack_layers(path_linear_, fwd.path_lin);
+  nn::pack_layers(dnn_linear_, fwd.dnn_lin);
+  forward_impl(pb, tm, capacities, fwd, shards, stats, fwd.edge_lin, fwd.path_lin,
+               fwd.dnn_lin);
 }
 
 void FlowGnn::forward_f32(const te::Problem& pb, const te::TrafficMatrix& tm,

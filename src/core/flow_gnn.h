@@ -77,6 +77,11 @@ class FlowGnn {
     // Scratch reused across blocks (not needed by backward).
     nn::BasicMat<T> dnn_act;                 // DNN-layer activation
     std::vector<double> caps;  // capacity snapshot when none is passed (always f64)
+    // f64 panels of the current layer weights, packed by forward() on the
+    // calling thread before any fan-out, so they never outlive a weight
+    // update. The f32 forward reads the model's snapshots and leaves these
+    // empty.
+    std::vector<nn::BasicPackedLinear<T>> edge_lin, path_lin, dnn_lin;
   };
   using Forward = ForwardT<double>;
   using ForwardF = ForwardT<float>;
@@ -159,26 +164,25 @@ class FlowGnn {
 
  private:
   // Fused per-row passes of one block (see forward), generic over the
-  // element type T and the layer type Lin (nn::Linear for f64, a blocked
-  // nn::PackedLinear for the narrowed path): the edge pass covers edge rows
-  // [e_begin, e_end), the demand pass covers demands [d_begin, d_end) —
-  // aggregation gather, concat, dense update, activation and widening for
-  // the slice, all reading only buffers stable during the block.
-  template <typename T, typename Lin>
-  void edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
-                      const std::vector<Lin>& edge_lin, int l, int e_begin,
-                      int e_end) const;
-  template <typename T, typename Lin>
-  void demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd,
-                        const std::vector<Lin>& path_lin, const std::vector<Lin>& dnn_lin,
-                        int l, int d_begin, int d_end) const;
+  // element type T of the activations and the packed layers: the edge pass
+  // covers edge rows [e_begin, e_end), the demand pass covers demands
+  // [d_begin, d_end) — aggregation gather, concat, dense update, activation
+  // and widening for the slice, all reading only buffers stable during the
+  // block.
+  template <typename T>
+  using Layers = std::vector<nn::BasicPackedLinear<T>>;
+  template <typename T>
+  void edge_pass_rows(const te::Problem& pb, ForwardT<T>& fwd, const Layers<T>& edge_lin,
+                      int l, int e_begin, int e_end) const;
+  template <typename T>
+  void demand_pass_rows(const te::Problem& pb, ForwardT<T>& fwd, const Layers<T>& path_lin,
+                        const Layers<T>& dnn_lin, int l, int d_begin, int d_end) const;
   // Shared body of the f64 and f32 forwards.
-  template <typename T, typename Lin>
+  template <typename T>
   void forward_impl(const te::Problem& pb, const te::TrafficMatrix& tm,
                     const std::vector<double>* capacities, ForwardT<T>& fwd,
-                    const ShardPlan& shards, ShardStat* stats,
-                    const std::vector<Lin>& edge_lin, const std::vector<Lin>& path_lin,
-                    const std::vector<Lin>& dnn_lin) const;
+                    const ShardPlan& shards, ShardStat* stats, const Layers<T>& edge_lin,
+                    const Layers<T>& path_lin, const Layers<T>& dnn_lin) const;
 
   // Backward message-passing transposes.
   void scatter_grad_edges_from_paths(const te::Problem& pb, const nn::Mat& g_agg,
@@ -194,9 +198,8 @@ class FlowGnn {
   // Per block: edge-update, path-update (input 2d -> d) and DNN (k*d -> k*d).
   std::vector<nn::Linear> edge_linear_, path_linear_, dnn_linear_;
   // Narrowed f32 inference mirrors of the same layers, stored as lane-blocked
-  // panels (nn::PackedLinear) so the forward runs the broadcast-FMA kernel;
-  // empty until prepare_f32().
-  std::vector<nn::PackedLinear> edge_f32_, path_f32_, dnn_f32_;
+  // panels (nn::PackedLinearF); empty until prepare_f32().
+  std::vector<nn::PackedLinearF> edge_f32_, path_f32_, dnn_f32_;
 };
 
 }  // namespace teal::core

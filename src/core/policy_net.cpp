@@ -16,21 +16,10 @@ PolicyNet::PolicyNet(const PolicyConfig& cfg, int in_dim, int k_paths, util::Rng
   out_ = nn::Linear(cur, k_paths, rng);
 }
 
-void PolicyNet::forward(Forward& fwd) const {
-  const nn::Mat* cur = &fwd.input;
-  fwd.pre.resize(hidden_.size());
-  fwd.act.resize(hidden_.size());
-  for (std::size_t i = 0; i < hidden_.size(); ++i) {
-    hidden_[i].forward(*cur, fwd.pre[i]);
-    nn::leaky_relu_forward(fwd.pre[i], fwd.act[i], cfg_.leaky_alpha);
-    cur = &fwd.act[i];
-  }
-  out_.forward(*cur, fwd.logits);
-}
-
-template <typename T, typename Lin>
-void PolicyNet::prepare_forward_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden,
-                                     const Lin& out) const {
+template <typename T>
+void PolicyNet::prepare_forward_impl(ForwardT<T>& fwd,
+                                     const std::vector<nn::BasicPackedLinear<T>>& hidden,
+                                     const nn::BasicPackedLinear<T>& out) const {
   const int n = fwd.input.rows();
   fwd.pre.resize(hidden.size());
   fwd.act.resize(hidden.size());
@@ -41,9 +30,11 @@ void PolicyNet::prepare_forward_impl(ForwardT<T>& fwd, const std::vector<Lin>& h
   fwd.logits.resize(n, out.out_features());
 }
 
-template <typename T, typename Lin>
-void PolicyNet::forward_rows_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden,
-                                  const Lin& out, int row_begin, int row_end) const {
+template <typename T>
+void PolicyNet::forward_rows_impl(ForwardT<T>& fwd,
+                                  const std::vector<nn::BasicPackedLinear<T>>& hidden,
+                                  const nn::BasicPackedLinear<T>& out, int row_begin,
+                                  int row_end) const {
   const nn::BasicMat<T>* cur = &fwd.input;
   for (std::size_t i = 0; i < hidden.size(); ++i) {
     hidden[i].forward_rows(*cur, fwd.pre[i], row_begin, row_end);
@@ -55,11 +46,13 @@ void PolicyNet::forward_rows_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidd
 }
 
 void PolicyNet::prepare_forward(Forward& fwd) const {
-  prepare_forward_impl(fwd, hidden_, out_);
+  nn::pack_layers(hidden_, fwd.hidden_lin);
+  out_.pack(fwd.out_lin);
+  prepare_forward_impl(fwd, fwd.hidden_lin, fwd.out_lin);
 }
 
 void PolicyNet::forward_rows(Forward& fwd, int row_begin, int row_end) const {
-  forward_rows_impl(fwd, hidden_, out_, row_begin, row_end);
+  forward_rows_impl(fwd, fwd.hidden_lin, fwd.out_lin, row_begin, row_end);
 }
 
 void PolicyNet::prepare_f32() {
@@ -90,7 +83,8 @@ void PolicyNet::forward_rows(ForwardF& fwd, int row_begin, int row_end) const {
 PolicyNet::Forward PolicyNet::forward(const nn::Mat& input) const {
   Forward fwd;
   fwd.input = input;
-  forward(fwd);
+  prepare_forward(fwd);
+  forward_rows(fwd, 0, input.rows());
   return fwd;
 }
 

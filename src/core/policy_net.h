@@ -38,19 +38,20 @@ class PolicyNet {
     std::vector<nn::BasicMat<T>> pre;   // hidden pre-activations
     std::vector<nn::BasicMat<T>> act;   // hidden activations
     nn::BasicMat<T> logits;             // (D, k)
+    // f64 panels of the current weights, packed by prepare_forward() (the
+    // f32 pair reads the model's snapshots and leaves these empty).
+    std::vector<nn::BasicPackedLinear<T>> hidden_lin;
+    nn::BasicPackedLinear<T> out_lin;
   };
   using Forward = ForwardT<double>;
   using ForwardF = ForwardT<float>;
 
-  // In-place forward: reads fwd.input (which the caller fills, e.g. via
-  // build_policy_input), writes pre/act/logits. Allocation-free once warm.
-  void forward(Forward& fwd) const;
-
-  // Demand-sharded pair: prepare_forward() sizes pre/act/logits for the
-  // (already filled-shape) fwd.input — it must run on one thread before the
-  // fan-out, since nn::Mat::resize is not concurrency-safe — then each shard
-  // runs forward_rows() on its own demand slice, touching only those rows.
-  // Bit-identical to forward() for any row partition.
+  // Demand-sharded pair: prepare_forward() packs the current weights into
+  // fwd's panels and sizes pre/act/logits for the (already filled-shape)
+  // fwd.input — it must run on one thread before the fan-out, since
+  // nn::Mat::resize is not concurrency-safe — then each shard runs
+  // forward_rows() on its own demand slice, touching only those rows.
+  // Bit-identical for any row partition, and allocation-free once warm.
   void prepare_forward(Forward& fwd) const;
   void forward_rows(Forward& fwd, int row_begin, int row_end) const;
 
@@ -95,12 +96,14 @@ class PolicyNet {
 
  private:
   // Shared body of the f64/f32 prepare_forward and forward_rows pairs.
-  template <typename T, typename Lin>
-  void prepare_forward_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden,
-                            const Lin& out) const;
-  template <typename T, typename Lin>
-  void forward_rows_impl(ForwardT<T>& fwd, const std::vector<Lin>& hidden, const Lin& out,
-                         int row_begin, int row_end) const;
+  template <typename T>
+  void prepare_forward_impl(ForwardT<T>& fwd,
+                            const std::vector<nn::BasicPackedLinear<T>>& hidden,
+                            const nn::BasicPackedLinear<T>& out) const;
+  template <typename T>
+  void forward_rows_impl(ForwardT<T>& fwd, const std::vector<nn::BasicPackedLinear<T>>& hidden,
+                         const nn::BasicPackedLinear<T>& out, int row_begin,
+                         int row_end) const;
 
   PolicyConfig cfg_;
   int in_dim_, k_paths_;
@@ -108,8 +111,8 @@ class PolicyNet {
   nn::Linear out_;
   // Narrowed f32 inference mirrors, stored as lane-blocked panels (empty
   // until prepare_f32()).
-  std::vector<nn::PackedLinear> hidden_f32_;
-  std::optional<nn::PackedLinear> out_f32_;
+  std::vector<nn::PackedLinearF> hidden_f32_;
+  std::optional<nn::PackedLinearF> out_f32_;
 };
 
 // Assembles the (D, k*dim) policy input matrix from final path embeddings and

@@ -2,16 +2,19 @@
 //  * T = double — strictly ordered arithmetic, identical to the seed
 //    implementation under every build flag. TEAL_SIMD may vectorize the
 //    *elementwise* loops (order-independent per element, so still
-//    bit-identical) but never the reductions.
+//    bit-identical) but never the reductions. The f64 linear forward is the
+//    packed-panel kernel of packed.cpp: lanes run independent outputs, each
+//    output adds its products in ascending input order.
 //  * T = float  — the f32 inference path. Under TEAL_SIMD its dot-product
-//    reduction reassociates across 8 partial accumulators (vector lanes),
-//    which is what buys the batched linear-forward speedup recorded in the
-//    EXPERIMENTS.md Precision/SIMD ledger.
+//    reduction reassociates across 8 partial accumulators (vector lanes);
+//    the solve itself runs the blocked f32 panels, and this row-major kernel
+//    is their unblocked baseline in the EXPERIMENTS.md Precision/SIMD ledger.
 #include "nn/mat.h"
 
 #include <algorithm>
 #include <cmath>
 
+#include "nn/packed.h"
 #include "util/thread_pool.h"
 
 #if defined(TEAL_SIMD)
@@ -45,29 +48,31 @@ namespace {
 // Rows below this threshold are processed inline; above it, through the pool.
 constexpr int kParallelRows = 512;
 
+// Runs body(begin, end) over row ranges covering [0, n): one range inline
+// below the threshold, pool chunks above it.
 template <typename F>
-void for_rows(int n, F&& body) {
+void for_row_ranges(int n, F&& body) {
   if (n >= kParallelRows) {
     util::ThreadPool::global().parallel_chunks(
         static_cast<std::size_t>(n), [&](std::size_t b, std::size_t e) {
-          for (std::size_t r = b; r < e; ++r) body(static_cast<int>(r));
+          body(static_cast<int>(b), static_cast<int>(e));
         });
   } else {
-    for (int r = 0; r < n; ++r) body(r);
+    body(0, n);
   }
 }
 
-// Dot product with the bias as the accumulation seed. The double overload is
-// the strictly ordered reference (seed-identical bits); the float overload
-// may reassociate into vector lanes under TEAL_SIMD — the narrowed path
-// trades bit-stability for throughput, which is exactly the paper's fp32
-// inference contract.
-inline double row_dot(const double* a, const double* b, int n, double seed) {
-  double acc = seed;
-  for (int i = 0; i < n; ++i) acc += a[i] * b[i];
-  return acc;
+template <typename F>
+void for_rows(int n, F&& body) {
+  for_row_ranges(n, [&](int b, int e) {
+    for (int r = b; r < e; ++r) body(r);
+  });
 }
 
+// f32 dot product with the bias as the accumulation seed. It may
+// reassociate into vector lanes under TEAL_SIMD — the narrowed path trades
+// bit-stability for throughput, which is exactly the paper's fp32 inference
+// contract.
 inline float row_dot(const float* a, const float* b, int n, float seed) {
 #if defined(TEAL_SIMD)
   constexpr int kLanes = 8;  // partial accumulators, 4-8 wide per the vector unit
@@ -94,23 +99,31 @@ inline float row_dot(const float* a, const float* b, int n, float seed) {
 #endif
 }
 
-// Shared row body of linear_forward / linear_forward_rows: identical
+// Shared row body of the f32 linear_forward / linear_forward_rows: identical
 // arithmetic keeps full and row-range calls bit-identical.
-template <typename T>
-inline void linear_row(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                       BasicMat<T>& y, int r) {
+inline void linear_row(const MatF& x, const MatF& w, std::span<const float> b, MatF& y,
+                       int r) {
   const int in = x.cols(), out = w.rows();
-  const T* xr = x.row_ptr(r);
-  T* yr = y.row_ptr(r);
+  const float* xr = x.row_ptr(r);
+  float* yr = y.row_ptr(r);
   for (int o = 0; o < out; ++o) {
     yr[o] = row_dot(xr, w.row_ptr(o), in, b[static_cast<std::size_t>(o)]);
   }
 }
 }  // namespace
 
-template <typename T>
-void linear_forward(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                    BasicMat<T>& y) {
+void linear_forward(const Mat& x, const Mat& w, std::span<const double> b, Mat& y) {
+  if (w.cols() != x.cols()) throw std::invalid_argument("linear_forward: shape mismatch");
+  if (static_cast<int>(b.size()) != w.rows()) throw std::invalid_argument("linear_forward: bias");
+  PackedMat packed;
+  pack_weights(w, packed);
+  y.resize(x.rows(), w.rows());
+  for_row_ranges(x.rows(), [&](int r0, int r1) {
+    linear_forward_rows_blocked(x, packed, b, y, r0, r1);
+  });
+}
+
+void linear_forward(const MatF& x, const MatF& w, std::span<const float> b, MatF& y) {
   const int n = x.rows(), in = x.cols(), out = w.rows();
   if (w.cols() != in) throw std::invalid_argument("linear_forward: shape mismatch");
   if (static_cast<int>(b.size()) != out) throw std::invalid_argument("linear_forward: bias");
@@ -118,9 +131,8 @@ void linear_forward(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const 
   for_rows(n, [&](int r) { linear_row(x, w, b, y, r); });
 }
 
-template <typename T>
-void linear_forward_rows(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                         BasicMat<T>& y, int row_begin, int row_end) {
+void linear_forward_rows(const MatF& x, const MatF& w, std::span<const float> b, MatF& y,
+                         int row_begin, int row_end) {
   if (w.cols() != x.cols()) throw std::invalid_argument("linear_forward_rows: shape");
   if (y.rows() != x.rows() || y.cols() != w.rows()) {
     throw std::invalid_argument("linear_forward_rows: y must be pre-sized");
@@ -261,12 +273,6 @@ void softmax_rows_backward(const Mat& probs, const Mat& gy, Mat& gx) {
 
 // Explicit instantiations: the reference f64 kernels and the f32 inference
 // mirrors. Declarations in mat.h resolve against these.
-template void linear_forward<double>(const Mat&, const Mat&, std::span<const double>, Mat&);
-template void linear_forward<float>(const MatF&, const MatF&, std::span<const float>, MatF&);
-template void linear_forward_rows<double>(const Mat&, const Mat&, std::span<const double>,
-                                          Mat&, int, int);
-template void linear_forward_rows<float>(const MatF&, const MatF&, std::span<const float>,
-                                         MatF&, int, int);
 template void leaky_relu_forward<double>(const Mat&, Mat&, double);
 template void leaky_relu_forward<float>(const MatF&, MatF&, double);
 template void leaky_relu_forward_rows<double>(const Mat&, Mat&, int, int, double);

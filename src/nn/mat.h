@@ -10,10 +10,10 @@
 // reference type used everywhere results must be bit-stable — training, the
 // ADMM fine-tune, the default solve path — while BasicMat<float> (alias
 // MatF) carries the narrowed f32 inference forward, mirroring the paper's
-// fp32 GPU inference. Every kernel below is instantiated for both element
-// types; the f64 instantiation keeps strictly ordered arithmetic (so results
-// are bit-identical whether or not TEAL_SIMD is enabled), whereas the f32
-// instantiation may use reassociating vectorized reductions under TEAL_SIMD.
+// fp32 GPU inference. The f64 kernels keep strictly ordered arithmetic under
+// every build flag (the f64 linear forward runs packed panels, packed.h,
+// with the bits of the ordered scalar loop), whereas the f32 kernels may use
+// reassociating vectorized reductions under TEAL_SIMD.
 #pragma once
 
 #include <cstddef>
@@ -106,16 +106,21 @@ using MatF = BasicMat<float>;   // narrowed f32 inference forward
 
 // All kernels below write into caller-owned outputs via resize, so a warm
 // output (same shape as the previous call) incurs no heap allocation.
-// Outputs must not alias inputs. Each kernel is instantiated for double and
-// float (mat.cpp); the double instantiation keeps seed-identical ordered
-// arithmetic under every build flag.
+// Outputs must not alias inputs. The double kernels keep seed-identical
+// ordered arithmetic under every build flag.
 
 // y = x * wT + b_broadcast : x is (n, in), w is (out, in), b is (out), y is (n, out).
 // Parallelized over rows of x when n is large. Bias/grad-bias parameters are
 // spans so both plain std::vectors and Mat storage bind.
-template <typename T>
-void linear_forward(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                    BasicMat<T>& y);
+//  * f64: packs w into 4-lane panels on the calling thread (one heap
+//    allocation per call) and runs linear_forward_rows_blocked (packed.h),
+//    the f64 forward kernel of the whole solve path. Callers that run every
+//    solve, like FlowGnn and PolicyNet, pack into their forward workspace
+//    instead and call the blocked kernel directly.
+//  * f32: the row-major dot-product kernel, the unblocked baseline the f32
+//    blocked panels are measured and tested against.
+void linear_forward(const Mat& x, const Mat& w, std::span<const double> b, Mat& y);
+void linear_forward(const MatF& x, const MatF& w, std::span<const float> b, MatF& y);
 
 // Backward of the same: gx = gy * w ; gw += gyᵀ x ; gb += column sums of gy.
 void linear_backward(const Mat& x, const Mat& w, const Mat& gy, Mat& gx, Mat& gw,
@@ -140,9 +145,8 @@ void softmax_rows(const BasicMat<T>& logits, const BasicMat<T>& mask, BasicMat<T
 // byte-for-byte the full kernel's, so any row partition produces
 // bit-identical results (the shard-count invariance tests/shard_test.cpp
 // verifies end to end).
-template <typename T>
-void linear_forward_rows(const BasicMat<T>& x, const BasicMat<T>& w, std::span<const std::type_identity_t<T>> b,
-                         BasicMat<T>& y, int row_begin, int row_end);
+void linear_forward_rows(const MatF& x, const MatF& w, std::span<const float> b, MatF& y,
+                         int row_begin, int row_end);
 template <typename T>
 void leaky_relu_forward_rows(const BasicMat<T>& x, BasicMat<T>& y, int row_begin,
                              int row_end, double alpha = 0.01);

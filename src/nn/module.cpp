@@ -19,8 +19,14 @@ void Linear::forward(const Mat& x, Mat& y) const {
   linear_forward(x, weight_.w, bias_.w.data(), y);
 }
 
-void Linear::forward_rows(const Mat& x, Mat& y, int row_begin, int row_end) const {
-  linear_forward_rows(x, weight_.w, bias_.w.data(), y, row_begin, row_end);
+void Linear::pack(PackedLinear& dst) const {
+  pack_weights(weight_.w, dst.w);
+  dst.b.assign(bias_.w.data().begin(), bias_.w.data().end());
+}
+
+void pack_layers(std::span<const Linear> src, std::vector<PackedLinear>& dst) {
+  dst.resize(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) src[i].pack(dst[i]);
 }
 
 void Linear::backward(const Mat& x, const Mat& gy, Mat& gx) {
@@ -60,12 +66,12 @@ void GradAccum::reduce_into(const std::vector<Param*>& params) const {
   }
 }
 
-PackedLinear Linear::snapshot_packed() const {
+PackedLinearF Linear::snapshot_packed() const {
   MatF w(weight_.w.rows(), weight_.w.cols());
   for (std::size_t i = 0; i < weight_.w.size(); ++i) {
     w.data()[i] = static_cast<float>(weight_.w.data()[i]);
   }
-  PackedLinear s;
+  PackedLinearF s;
   pack_weights(w, s.w);
   s.b.assign(bias_.w.data().begin(), bias_.w.data().end());
   return s;

@@ -57,33 +57,39 @@ class GradAccum {
 // Xavier-uniform init, the default for the small dense layers here.
 void xavier_init(Mat& w, util::Rng& rng);
 
-// Narrowed inference snapshot of a Linear: weights and bias narrowed to f32
-// once, read-only afterwards. The narrowed solve path (TealScheme's f32
-// precision) runs its forward through these snapshots while training and the
-// f64 path keep using the double parameters — re-snapshot after any further
-// parameter update. Weights live in lane-blocked panels (nn::PackedMat) so
-// forward_rows runs the broadcast-FMA kernel instead of strided dot products.
-struct PackedLinear {
-  PackedMat w;          // (out, in) lane-blocked panels
-  std::vector<float> b; // (out), the accumulation seed
+// A Linear layer's weights in lane-blocked panels (nn::BasicPackedMat) and
+// its bias: what the solve path's forwards read, so forward_rows runs the
+// broadcast kernel instead of strided dot products.
+//  * PackedLinear (f64): packed from the current parameters by
+//    Linear::pack into a forward workspace at the start of every forward
+//    (pack_layers), on the calling thread before any fan-out. Training
+//    updates weights between forwards, so no copy outlives one forward.
+//  * PackedLinearF (f32): the narrowed inference snapshot, f64 -> f32 once
+//    (Linear::snapshot_packed) and read-only afterwards — the narrowed solve
+//    path re-snapshots after any further parameter update.
+template <typename T>
+struct BasicPackedLinear {
+  BasicPackedMat<T> w;  // (out, in) lane-blocked panels
+  std::vector<T> b;     // (out), the accumulation seed
 
-  void forward_rows(const MatF& x, MatF& y, int row_begin, int row_end) const {
+  void forward_rows(const BasicMat<T>& x, BasicMat<T>& y, int row_begin, int row_end) const {
     linear_forward_rows_blocked(x, w, b, y, row_begin, row_end);
   }
   int in_features() const { return w.cols(); }
   int out_features() const { return w.rows(); }
 };
+using PackedLinear = BasicPackedLinear<double>;
+using PackedLinearF = BasicPackedLinear<float>;
 
 class Linear {
  public:
   Linear() = default;
   Linear(int in, int out, util::Rng& rng);
 
-  // y = x Wᵀ + b; caches nothing (callers keep x for backward).
+  // y = x Wᵀ + b; caches nothing (callers keep x for backward). Packs the
+  // weights per call (nn::linear_forward); per-solve callers pack once into
+  // their workspace with pack() and run PackedLinear::forward_rows.
   void forward(const Mat& x, Mat& y) const;
-  // Row-range forward for demand-sharded callers; `y` must be pre-sized to
-  // (x.rows(), out_features()). Bit-identical to forward() per row.
-  void forward_rows(const Mat& x, Mat& y, int row_begin, int row_end) const;
   // Accumulates parameter grads and writes input grad.
   void backward(const Mat& x, const Mat& gy, Mat& gx);
   // Accumulator-seam backward: same arithmetic as backward(), but the
@@ -93,9 +99,13 @@ class Linear {
   // are safe, which is what fans batched training out across workers.
   void backward_acc(const Mat& x, const Mat& gy, Mat& gx, Mat& gw, Mat& gb) const;
 
+  // The current weights and bias in f64 panels; allocation-free once `dst`
+  // has this layer's shape. Same bits as forward() on every row.
+  void pack(PackedLinear& dst) const;
+
   // Blocked-panel snapshot for the narrowed solve path: f64 -> f32 (round to
   // nearest) packed into panels.
-  PackedLinear snapshot_packed() const;
+  PackedLinearF snapshot_packed() const;
 
   int in_features() const { return weight_.w.cols(); }
   int out_features() const { return weight_.w.rows(); }
@@ -113,6 +123,10 @@ class Linear {
   Param weight_;  // (out, in)
   Param bias_;    // (1, out)
 };
+
+// Packs every layer of `src` into `dst` (Linear::pack), resizing `dst` to
+// match: allocation-free once warm.
+void pack_layers(std::span<const Linear> src, std::vector<PackedLinear>& dst);
 
 // Adam over an explicit parameter list (decoupled from module structure).
 class Adam {

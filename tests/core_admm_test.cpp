@@ -92,6 +92,41 @@ TEST(Admm, RejectsPathWeightsOfTheWrongSize) {
   EXPECT_NO_THROW({ core::Admm admm(pb, cfg); });
 }
 
+TEST(Admm, RejectsUnusablePenaltiesAndCounts) {
+  // Every update divides by rho: rho = 0 turned all of B4's splits NaN with
+  // a zero residual and no error. The message names the field.
+  auto pb = b4_problem();
+  auto expect_rejected = [&](const core::AdmmConfig& cfg, const std::string& field) {
+    try {
+      core::Admm admm(pb, cfg);
+      ADD_FAILURE() << field << " must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  for (double rho : {0.0, -0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE("rho=" + std::to_string(rho));
+    core::AdmmConfig cfg;
+    cfg.rho = rho;
+    expect_rejected(cfg, "rho");
+  }
+  core::AdmmConfig iters;
+  iters.iterations = -1;
+  expect_rejected(iters, "iterations");
+  core::AdmmConfig sweeps;
+  sweeps.coord_sweeps = -1;
+  expect_rejected(sweeps, "coord_sweeps");
+  // Zero counts are usable (fine_tune then only clamps), and so is any
+  // finite positive penalty.
+  core::AdmmConfig zero;
+  zero.iterations = 0;
+  zero.coord_sweeps = 0;
+  zero.rho = std::numeric_limits<double>::min();
+  EXPECT_NO_THROW({ core::Admm admm(pb, zero); });
+}
+
 TEST(Admm, ImprovesFeasibleFlowOfOverloadedStart) {
   traffic::Trace trace;
   auto pb = b4_problem(3.0, &trace);
@@ -186,10 +221,10 @@ TEST(Admm, NoViolationIsStable) {
 // ---- Oracle: the streaming path-major solve against the reference.
 
 te::Problem sampled_problem(const std::string& topo_name, int n_demands, double util,
-                            traffic::Trace* trace_out) {
+                            traffic::Trace* trace_out, int k = 4) {
   auto g = topo::make_topology(topo_name);
   auto demands = traffic::sample_demands(g, n_demands, /*seed=*/21);
-  te::Problem pb(std::move(g), std::move(demands), 4);
+  te::Problem pb(std::move(g), std::move(demands), k);
   traffic::TraceConfig cfg;
   cfg.n_intervals = 1;
   cfg.seed = 22;
@@ -334,6 +369,57 @@ TEST(AdmmOracle, WorkspaceReusedAcrossProblemSizesMatchesReference) {
     SCOPED_TRACE("Kdl again");
     expect_matches_reference_in(ws, kdl, cfg, kdl_trace.at(0), kdl.capacities(),
                                 violating_allocation(kdl));
+  }
+}
+
+TEST(AdmmOracle, InterleavedDemandGroupsMatchReference) {
+  // The F-update runs 8 demands in lockstep. Groups end at a shard boundary
+  // and at the last demand, lanes of demands with fewer than k paths idle
+  // for the missing slots, and any k sets the group depth: none of it may
+  // change a bit against the one-demand-at-a-time reference.
+  struct Case {
+    const char* topo;
+    int demands;  // never a multiple of 8
+    int k;
+    bool weighted;
+    bool short_demands;  // some demand has fewer than k paths
+  };
+  for (const Case& c : {Case{"B4", 13, 1, false, false}, Case{"B4", 21, 7, false, false},
+                        Case{"SWAN", 29, 7, true, true}, Case{"UsCarrier", 45, 4, true, true},
+                        Case{"Kdl", 9, 7, false, false}}) {
+    SCOPED_TRACE(std::string(c.topo) + " demands=" + std::to_string(c.demands) +
+                 " k=" + std::to_string(c.k) + (c.weighted ? " weighted" : ""));
+    traffic::Trace trace;
+    auto pb = sampled_problem(c.topo, c.demands, 2.0, &trace, c.k);
+    ASSERT_NE(pb.num_demands() % 8, 0);
+    int short_demands = 0;
+    for (int d = 0; d < pb.num_demands(); ++d) short_demands += pb.num_paths(d) < c.k;
+    ASSERT_EQ(short_demands > 0, c.short_demands) << short_demands << " short demands";
+    core::AdmmConfig cfg;
+    cfg.iterations = 3;
+    if (c.weighted) cfg.path_weight = lp::latency_penalty_weights(pb, 0.5);
+    const auto start = scattered_allocation(pb);
+    auto ref = start;
+    const auto ref_res = reference::reference_fine_tune(pb, cfg, trace.at(0), pb.capacities(), ref);
+    const core::Admm admm(pb, cfg);
+    core::Admm::Workspace ws;
+    for (int shards : {1, 2, 3, 5}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      const auto plan = core::ShardPlan::make(pb.num_demands(), shards);
+      if (plan.n_shards > 1) {
+        bool inside_group = false;
+        for (int s = 1; s < plan.n_shards; ++s) inside_group |= plan.begin(s) % 8 != 0;
+        EXPECT_TRUE(inside_group) << "no shard boundary falls inside a group of 8";
+      }
+      auto out = start;
+      const auto res = admm.fine_tune(trace.at(0), pb.capacities(), out, ws, plan);
+      ASSERT_EQ(out.split.size(), ref.split.size());
+      EXPECT_EQ(std::memcmp(out.split.data(), ref.split.data(),
+                            ref.split.size() * sizeof(double)),
+                0);
+      EXPECT_EQ(res.before, ref_res.before);
+      EXPECT_EQ(res.after, ref_res.after);
+    }
   }
 }
 

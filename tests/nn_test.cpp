@@ -112,12 +112,12 @@ TEST(PackedMat, PackZeroesPaddingLanes) {
   const int out = 10, in = 5;
   nn::MatF w(out, in);
   for (auto& v : w.data()) v = static_cast<float>(rng.normal());
-  nn::PackedMat p;
+  nn::PackedMatF p;
   nn::pack_weights(w, p);
   ASSERT_EQ(p.rows(), out);
   ASSERT_EQ(p.cols(), in);
   ASSERT_EQ(p.panels(), 2);
-  constexpr int L = nn::PackedMat::kLanes;
+  constexpr int L = nn::PackedMatF::kLanes;
   for (int pi = 0; pi < p.panels(); ++pi) {
     const float* panel = p.panel_ptr(pi);
     for (int i = 0; i < in; ++i) {
@@ -138,7 +138,7 @@ TEST(PackedMat, ResizePoisonContractUnderDebugMat) {
   if (!nn::debug_mat_enabled()) {
     GTEST_SKIP() << "TEAL_DEBUG_MAT is off in this build";
   }
-  nn::PackedMat p;
+  nn::PackedMatF p;
   p.resize(9, 3);
   for (float v : p.data()) EXPECT_TRUE(std::isnan(v));
 }
@@ -157,7 +157,7 @@ TEST(PackedMat, BlockedForwardMatchesUnblockedWithinUlps) {
   for (auto& v : b) v = static_cast<float>(rng.normal());
   nn::MatF ref, y;
   nn::linear_forward(x, w, b, ref);
-  nn::PackedMat p;
+  nn::PackedMatF p;
   nn::pack_weights(w, p);
   nn::linear_forward_blocked(x, p, b, y);
   ASSERT_EQ(y.rows(), n);
@@ -179,7 +179,7 @@ TEST(PackedMat, BlockedRowPartitionIsBitIdentical) {
   for (auto& v : x.data()) v = static_cast<float>(rng.normal());
   for (auto& v : w.data()) v = static_cast<float>(rng.normal());
   for (auto& v : b) v = static_cast<float>(rng.normal());
-  nn::PackedMat pf;
+  nn::PackedMatF pf;
   nn::pack_weights(w, pf);
 
   nn::MatF full(n, out), ranged(n, out);
@@ -194,7 +194,7 @@ TEST(PackedMat, BlockedRowPartitionIsBitIdentical) {
 TEST(PackedMat, BlockedForwardValidatesShapes) {
   nn::MatF x(4, 3), y(4, 2);
   nn::MatF w(2, 3);
-  nn::PackedMat p;
+  nn::PackedMatF p;
   nn::pack_weights(w, p);
   std::vector<float> b(2);
   EXPECT_NO_THROW(nn::linear_forward_rows_blocked(x, p, b, y, 0, 4));
@@ -207,7 +207,7 @@ TEST(PackedMat, BlockedForwardValidatesShapes) {
   nn::MatF bad_y(4, 3);
   EXPECT_THROW(nn::linear_forward_rows_blocked(x, p, b, bad_y, 0, 4),
                std::invalid_argument);
-  EXPECT_THROW(nn::PackedMat{}.resize(-1, 2), std::invalid_argument);
+  EXPECT_THROW(nn::PackedMatF{}.resize(-1, 2), std::invalid_argument);
 }
 
 TEST(PackedLinear, SnapshotsMatchDoubleForward) {
@@ -222,7 +222,7 @@ TEST(PackedLinear, SnapshotsMatchDoubleForward) {
     xf.data()[i] = static_cast<float>(x.data()[i]);
   }
 
-  nn::PackedLinear snap = lin.snapshot_packed();
+  nn::PackedLinearF snap = lin.snapshot_packed();
   snap.forward_rows(xf, yf, 0, 5);
   for (std::size_t i = 0; i < y.data().size(); ++i) {
     EXPECT_NEAR(static_cast<double>(yf.data()[i]), y.data()[i], 1e-5);

@@ -9,12 +9,15 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/teal_scheme.h"
 #include "core/variants.h"
 #include "nn/mat.h"
+#include "nn/packed.h"
 #include "sim/served.h"
 #include "te/objective.h"
 #include "topo/topology.h"
@@ -344,6 +347,82 @@ TEST(Precision, F64LinearForwardBitIdenticalToOrderedReference) {
   ASSERT_EQ(y.data().size(), ref.data().size());
   EXPECT_EQ(0, std::memcmp(y.data().data(), ref.data().data(),
                            y.data().size() * sizeof(double)));
+}
+
+void fill_normal(util::Rng& rng, std::span<double> v) {
+  for (double& e : v) e = rng.normal();
+}
+
+bool same_bytes(const nn::Mat& a, const nn::Mat& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Precision, F64BlockedKernelBitIdenticalToOrderedReferenceAtEveryShape) {
+  // The solve path's one f64 linear kernel (4-lane panels, dispatched to a
+  // no-FMA clone) against the ordered scalar loop, byte for byte: widths
+  // below, at and above one panel and one register block, 13 rows (not a
+  // multiple of the 4-row block) computed in ranges that start and end
+  // inside a block. The undispatched baseline body runs the same ranges, so
+  // the "default" clone's body is covered on an AVX2 host too.
+  util::Rng rng(37);
+  const int n = 13;
+  const std::vector<std::pair<int, int>> ranges = {{0, 3}, {3, 6}, {6, 11}, {11, 13}};
+  for (int in : {1, 2, 3, 4, 5, 7, 8, 9, 24, 96}) {
+    for (int out : {1, 2, 3, 4, 5, 7, 8, 9, 24, 96}) {
+      SCOPED_TRACE("in=" + std::to_string(in) + " out=" + std::to_string(out));
+      nn::Mat x(n, in), w(out, in);
+      std::vector<double> b(static_cast<std::size_t>(out));
+      fill_normal(rng, x.data());
+      fill_normal(rng, w.data());
+      fill_normal(rng, b);
+      nn::Mat ref;
+      ref_linear_forward(x, w, b, ref);
+      nn::PackedMat p;
+      nn::pack_weights(w, p);
+      // Padding lanes (out..panels*4) pack to exact zero.
+      constexpr int L = nn::PackedMat::kLanes;
+      ASSERT_EQ(L, 4);
+      for (int o = out; o < p.panels() * L; ++o) {
+        for (int i = 0; i < in; ++i) {
+          EXPECT_EQ(p.panel_ptr(o / L)[i * L + o % L], 0.0) << "padding lane " << o;
+        }
+      }
+      nn::Mat y(n, out), base(n, out);
+      for (auto [r0, r1] : ranges) {
+        nn::linear_forward_rows_blocked(x, p, b, y, r0, r1);
+        nn::linear_forward_rows_blocked_baseline(x, p, b, base, r0, r1);
+      }
+      EXPECT_TRUE(same_bytes(y, ref)) << "dispatched kernel";
+      EXPECT_TRUE(same_bytes(base, ref)) << "baseline body";
+    }
+  }
+}
+
+TEST(Precision, F64BlockedKernelRoundsMultiplyAndAddSeparately) {
+  // x = 1 + 2^-30 and w = 1 - 2^-30 multiply to 1 - 2^-60, which rounds to
+  // 1, so with bias -1 each output is 0 exactly. A fused multiply-add skips
+  // that rounding and gives -2^-60: any FMA-capable body fails here.
+  const double x_val = 1.0 + std::ldexp(1.0, -30);
+  const double w_val = 1.0 - std::ldexp(1.0, -30);
+  for (int out : {1, 4, 5, 24}) {
+    SCOPED_TRACE("out=" + std::to_string(out));
+    const int n = 6;
+    nn::Mat x(n, 1, x_val), w(out, 1, w_val);
+    const std::vector<double> b(static_cast<std::size_t>(out), -1.0);
+    nn::PackedMat p;
+    nn::pack_weights(w, p);
+    nn::Mat y(n, out), base(n, out), full;
+    nn::linear_forward_rows_blocked(x, p, b, y, 0, n);
+    nn::linear_forward_rows_blocked_baseline(x, p, b, base, 0, n);
+    nn::linear_forward(x, w, b, full);
+    for (const nn::Mat* m : {&y, &base, &full}) {
+      for (double v : m->data()) {
+        EXPECT_EQ(v, 0.0) << (v == -std::ldexp(1.0, -60) ? "fused multiply-add" : "");
+        EXPECT_FALSE(std::signbit(v));
+      }
+    }
+  }
 }
 
 TEST(Precision, F64LeakyReluBitIdenticalToOrderedReference) {
