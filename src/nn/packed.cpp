@@ -32,7 +32,12 @@
 //  * f32, SIMD builds only: "default", "avx2" and x86-64-v4. Contraction
 //    changes rounding but not the ascending-i order, so results stay
 //    identical across shard counts and repeat runs on one machine.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+//  * Sanitizer builds run the baseline body only: the ifunc resolver runs
+//    during relocation, before the sanitizer runtime is initialized, and
+//    the TSan test binaries that link the kernel crashed there. The bits
+//    are the same.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
 #define TEAL_PACKED_CLONES_F64 __attribute__((target_clones("default", "avx2")))
 #if defined(TEAL_SIMD)
 #define TEAL_PACKED_CLONES_F32 \
